@@ -241,6 +241,53 @@ func moveOneGate(b *testing.B, p *partition.Partition, rng *rand.Rand) {
 	b.Fatal("no legal move found")
 }
 
+// Set-up ladder steps L0 (the ρ-neighbourhood cache built by
+// estimate.New) and L1 (one chain start partition), at c1908 and at a
+// seeded 20k-gate random-logic circuit, where they dominate a run.
+func setupCircuit(b *testing.B, name string) *celllib.Annotated {
+	b.Helper()
+	c, err := circuits.ISCAS85Like(name)
+	if name == "20k" {
+		c, err = circuits.RandomLogic(circuits.Spec{
+			Name: "rand20k", Inputs: 1200, Outputs: 600, Gates: 20000, Depth: 60, Seed: 1,
+		})
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := celllib.Annotate(c, celllib.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return a
+}
+
+func benchmarkEstimateNew(b *testing.B, name string) {
+	b.ReportAllocs()
+	a := setupCircuit(b, name)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = estimate.New(a, estimate.DefaultParams())
+	}
+}
+
+func BenchmarkEstimateNew_C1908(b *testing.B) { benchmarkEstimateNew(b, "c1908") }
+func BenchmarkEstimateNew_20k(b *testing.B)   { benchmarkEstimateNew(b, "20k") }
+
+func benchmarkChainStartPartition(b *testing.B, name string) {
+	b.ReportAllocs()
+	e := estimate.New(setupCircuit(b, name), estimate.DefaultParams())
+	size := standard.EstimateModuleSize(e, partition.PaperWeights(), partition.DefaultConstraints())
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = standard.ChainStartPartition(e.A.Circuit, size, rng)
+	}
+}
+
+func BenchmarkChainStartPartition_C1908(b *testing.B) { benchmarkChainStartPartition(b, "c1908") }
+func BenchmarkChainStartPartition_20k(b *testing.B)   { benchmarkChainStartPartition(b, "20k") }
+
 // §3 estimator micro-benchmarks: the quantities recomputed inside the
 // evolution loop.
 func estimatorFixture(b *testing.B) (*estimate.Estimator, [][]int) {

@@ -142,6 +142,10 @@ func (b *Builder) Build() (*Circuit, error) {
 		}
 		c.Outputs = append(c.Outputs, oid)
 	}
+	c.outMask = make([]bool, len(c.Gates))
+	for _, o := range c.Outputs {
+		c.outMask[o] = true
+	}
 	if len(c.Inputs) == 0 {
 		return nil, fmt.Errorf("circuit %q: no primary inputs", b.name)
 	}

@@ -14,6 +14,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -168,10 +169,11 @@ type Circuit struct {
 	Inputs  []int  // IDs of primary-input gates, in declaration order
 	Outputs []int  // IDs of gates observed as primary outputs
 
-	byName map[string]int
-	levels []int   // levelisation cache: longest path from any input
-	order  []int   // topological order cache
-	nbrs   [][]int // undirected logic-graph adjacency cache
+	byName  map[string]int
+	outMask []bool  // outMask[id] reports id ∈ Outputs; set by Builder.Build
+	levels  []int   // levelisation cache: longest path from any input
+	order   []int   // topological order cache
+	nbrs    [][]int // undirected logic-graph adjacency cache
 }
 
 // NumGates returns the total number of vertices including primary inputs.
@@ -201,14 +203,14 @@ func (c *Circuit) GateByName(name string) (*Gate, bool) {
 	return &c.Gates[id], true
 }
 
-// IsOutput reports whether gate id is observed as a primary output.
+// IsOutput reports whether gate id is observed as a primary output. It
+// is O(1) on circuits made by a Builder; a hand-assembled Circuit
+// literal has no output mask and falls back to scanning Outputs.
 func (c *Circuit) IsOutput(id int) bool {
-	for _, o := range c.Outputs {
-		if o == id {
-			return true
-		}
+	if c.outMask == nil {
+		return slices.Contains(c.Outputs, id)
 	}
-	return false
+	return c.outMask[id]
 }
 
 // TopoOrder returns a topological order of all gate IDs (inputs first).

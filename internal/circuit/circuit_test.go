@@ -54,6 +54,28 @@ func TestBuildC17(t *testing.T) {
 	if c.IsOutput(g1.ID) {
 		t.Error("g1 should not be a primary output")
 	}
+	for id := range c.Gates {
+		name := c.Gates[id].Name
+		want := name == "g5" || name == "g6"
+		if got := c.IsOutput(id); got != want {
+			t.Errorf("IsOutput(%s) = %v, want %v", name, got, want)
+		}
+	}
+}
+
+func TestIsOutputWithoutBuilder(t *testing.T) {
+	// A hand-assembled literal has no output mask and must still answer.
+	c := &Circuit{
+		Gates: []Gate{
+			{ID: 0, Name: "in", Type: Input, Fanout: []int{1}},
+			{ID: 1, Name: "g", Type: Not, Fanin: []int{0}},
+		},
+		Inputs:  []int{0},
+		Outputs: []int{1},
+	}
+	if c.IsOutput(0) || !c.IsOutput(1) {
+		t.Errorf("IsOutput = [%v %v], want [false true]", c.IsOutput(0), c.IsOutput(1))
+	}
 }
 
 func TestGateTypeEval(t *testing.T) {

@@ -2,6 +2,7 @@ package estimate
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -263,6 +264,86 @@ func TestSeparationCapRho(t *testing.T) {
 	if got := e.SeparationModule(gates); got != 7 {
 		t.Errorf("disconnected pair separation = %d, want ρ = 7", got)
 	}
+}
+
+// TestSeparationModuleMatchesBruteForce checks the neighbourhood cache
+// against the definition of S(M) in §3.3: the sum over all gate pairs of
+// the hop distance capped at ρ, where pairs farther apart than ρ (or
+// disconnected) count ρ.
+func TestSeparationModuleMatchesBruteForce(t *testing.T) {
+	rand2k, err := circuits.RandomLogic(circuits.Spec{
+		Name: "rand2k", Inputs: 120, Outputs: 60, Gates: 2000, Depth: 30, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*circuit.Circuit{
+		circuits.C17(), circuits.MustISCAS85Like("c432"), circuits.MustISCAS85Like("c1908"), rand2k,
+	} {
+		a, err := celllib.Annotate(c, celllib.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		logic := c.LogicGates()
+		for _, rho := range []int{1, 2, 4, 6} {
+			p := DefaultParams()
+			p.Rho = rho
+			e := New(a, p)
+			dists := map[int]map[int]int{}
+			bruteForce := func(gates []int) int {
+				sum := 0
+				for i, g := range gates {
+					d, ok := dists[g]
+					if !ok {
+						d = c.BoundedDistances(g, rho)
+						dists[g] = d
+					}
+					for _, h := range gates[i+1:] {
+						if dh, ok := d[h]; ok && dh < rho {
+							sum += dh
+						} else {
+							sum += rho
+						}
+					}
+				}
+				return sum
+			}
+			rng := rand.New(rand.NewSource(int64(rho)))
+			randomSubset := func(k int) []int {
+				gates := make([]int, 0, k)
+				for _, i := range rng.Perm(len(logic))[:k] {
+					gates = append(gates, logic[i])
+				}
+				return gates
+			}
+			subsets := [][]int{nil, logic[:1], logic[:2], randomSubset(2), logic}
+			for _, k := range []int{3, 10, 50, 200} {
+				if k < len(logic) {
+					subsets = append(subsets, randomSubset(k))
+				}
+			}
+			for _, gates := range subsets {
+				if got, want := e.SeparationModule(gates), bruteForce(gates); got != want {
+					t.Errorf("%s ρ=%d |M|=%d: S(M) = %d, brute force %d", c.Name, rho, len(gates), got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestNewRejectsRhoAboveMaxRho(t *testing.T) {
+	a := annotatedC17(t)
+	p := DefaultParams()
+	p.Rho = MaxRho
+	New(a, p) // the largest ρ whose hop counts fit the cache
+	p.Rho = MaxRho + 1
+	defer func() {
+		r := recover()
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "Rho = 256") {
+			t.Errorf("New(ρ = %d) recovered %v, want a panic naming Params.Rho", p.Rho, r)
+		}
+	}()
+	New(a, p)
 }
 
 func TestNominalDelayC17(t *testing.T) {

@@ -3,7 +3,7 @@ package estimate
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,7 +31,7 @@ type Params struct {
 	AreaA1    float64 // sensor area model: sensing/bypass term coefficient
 	CsSensor  float64 // intrinsic sensor capacitance at the virtual rail, F
 	IDDQth    float64 // sensing threshold IDDQ,th, A (§2)
-	Rho       int     // separation-parameter cap ρ (§3.3)
+	Rho       int     // separation-parameter cap ρ (§3.3); New panics above MaxRho
 }
 
 // DefaultParams returns the constants used throughout the experiments:
@@ -65,11 +65,17 @@ type Estimator struct {
 
 	// Per-gate ρ-hop neighbourhoods, precomputed once so that the
 	// separation parameter — by far the most frequently re-evaluated
-	// estimate during evolution — needs no repeated BFS. nbrGate[g] lists
-	// the logic gates within ρ hops of g (excluding g), nbrDist[g] the
-	// matching hop counts.
-	nbrGate [][]int32
-	nbrDist [][]uint8
+	// estimate during evolution — needs no repeated BFS. The cache is
+	// CSR over the upper triangle: nbrGate[nbrOff[g]:nbrOff[g+1]] lists
+	// the logic gates nb > g within ρ hops of g, in BFS order, and
+	// nbrDist holds the matching hop counts. Each near pair is stored
+	// once, under its lower gate, which is the only direction
+	// separationScratch reads; S(M) is an integer sum, so the entry order
+	// within a gate does not affect it. int32 offsets address 2³¹
+	// entries, a cache of over 10 GB.
+	nbrOff  []int32
+	nbrGate []int32
+	nbrDist []uint8
 
 	// Telemetry handles, resolved once by SetObs; nil (no-op) when the
 	// estimator is unobserved. The metrics themselves are atomic, so the
@@ -137,35 +143,91 @@ func (e *Estimator) SetChaos(in *chaos.Injector) {
 
 // New builds an Estimator, computing the transition-time sets, the
 // nominal (sensor-free) circuit delay, and the bounded-distance cache
-// once.
+// once. It panics if p.Rho exceeds MaxRho.
 func New(a *celllib.Annotated, p Params) *Estimator {
+	mustRho(p.Rho)
 	e := &Estimator{P: p, A: a, TS: TransitionTimes(a.Circuit)}
 	e.nominalDelay = e.longestPath(nil, nil, nil)
-	c := a.Circuit
-	e.nbrGate = make([][]int32, c.NumGates())
-	e.nbrDist = make([][]uint8, c.NumGates())
-	for _, g := range c.LogicGates() {
-		dist := c.BoundedDistances(g, p.Rho)
-		// Iterate the neighbor map in sorted order: the cache's layout
-		// feeds float summations in the cost path, where accumulation
-		// order changes the rounding and breaks bit-identical resume.
-		nbs := make([]int, 0, len(dist))
-		for nb := range dist {
-			if nb != g {
-				nbs = append(nbs, nb)
-			}
-		}
-		sort.Ints(nbs)
-		gates := make([]int32, 0, len(nbs))
-		dists := make([]uint8, 0, len(nbs))
-		for _, nb := range nbs {
-			gates = append(gates, int32(nb))
-			dists = append(dists, uint8(dist[nb]))
-		}
-		e.nbrGate[g] = gates
-		e.nbrDist[g] = dists
-	}
+	e.buildNeighbourhoods()
 	return e
+}
+
+// MaxRho is the largest separation cap ρ an Estimator accepts: the
+// neighbourhood cache stores hop counts as uint8.
+const MaxRho = math.MaxUint8
+
+// mustRho rejects a ρ whose hop counts would not fit the cache's uint8
+// distances (they would wrap and silently corrupt S(M)). Params are
+// validated configuration, so an out-of-range ρ is an invariant
+// violation and panics per the project's panic policy.
+func mustRho(rho int) {
+	if rho > MaxRho {
+		panic(fmt.Sprintf("estimate: Params.Rho = %d exceeds MaxRho = %d", rho, MaxRho))
+	}
+}
+
+// buildNeighbourhoods fills the CSR neighbourhood cache with one bounded
+// BFS per logic gate over the undirected logic graph. The visited set is
+// an epoch-stamped array shared by all searches: a gate counts as seen in
+// the current search iff its stamp equals the search's epoch, so nothing
+// is cleared between gates.
+func (e *Estimator) buildNeighbourhoods() {
+	c := e.A.Circuit
+	n := c.NumGates()
+	e.nbrOff = make([]int32, n+1)
+	stamp := make([]int32, n)
+	var frontier, next []int
+	var epoch int32
+	logic, reached := c.NumLogicGates(), 0
+	for g := 0; g < n; g++ {
+		e.nbrOff[g] = int32(len(e.nbrGate))
+		if c.Gates[g].Type == circuit.Input {
+			continue
+		}
+		e.reserve(reached, int(epoch), logic)
+		epoch++
+		stamp[g] = epoch
+		frontier = append(frontier[:0], g)
+		for d := 1; d <= e.P.Rho && len(frontier) > 0; d++ {
+			next = next[:0]
+			for _, f := range frontier {
+				for _, nb := range c.Neighbors(f) {
+					if stamp[nb] == epoch {
+						continue
+					}
+					stamp[nb] = epoch
+					next = append(next, nb)
+					reached++
+					if nb > g {
+						e.nbrGate = append(e.nbrGate, int32(nb))
+						e.nbrDist = append(e.nbrDist, uint8(d))
+					}
+				}
+			}
+			frontier, next = next, frontier
+		}
+	}
+	e.nbrOff[n] = int32(len(e.nbrGate))
+}
+
+// reserve grows the cache before it fills, to the size extrapolated from
+// the searched gates' mean neighbourhood: reached counts every gate the
+// searches found, and each pair is found from both of its gates but
+// stored once, under its lower one. Left to append, a cache of millions
+// of entries would be copied in 1.25× steps, allocating several times
+// its final size.
+func (e *Estimator) reserve(reached, searched, logic int) {
+	if searched == 0 {
+		return
+	}
+	mean := reached / searched
+	if cap(e.nbrGate)-len(e.nbrGate) > 2*mean {
+		return
+	}
+	want := reached * logic * 9 / (16 * searched) // half the pairs found, an eighth spare
+	extra := max(want-len(e.nbrGate), 4*mean+1)
+	e.nbrGate = slices.Grow(e.nbrGate, extra)
+	e.nbrDist = slices.Grow(e.nbrDist, extra)
 }
 
 // Module is the estimator output for one gate group: everything the cost
@@ -279,9 +341,10 @@ func (e *Estimator) separationScratch(gates []int, inModule []bool) int {
 	pairs := len(gates) * (len(gates) - 1) / 2
 	sum := rho * pairs
 	for _, g := range gates {
-		nbrs, dists := e.nbrGate[g], e.nbrDist[g]
+		lo, hi := e.nbrOff[g], e.nbrOff[g+1]
+		nbrs, dists := e.nbrGate[lo:hi], e.nbrDist[lo:hi]
 		for i, nb := range nbrs {
-			if nb > int32(g) && inModule[nb] {
+			if inModule[nb] {
 				sum -= rho - int(dists[i])
 			}
 		}

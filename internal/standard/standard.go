@@ -108,11 +108,10 @@ func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) 
 		maxModuleSize = 1
 	}
 	levels := c.Levels()
-	free := make(map[int]bool)
-	var order []int
-	for _, g := range c.LogicGates() {
+	order := c.LogicGates()
+	free := make([]bool, c.NumGates())
+	for _, g := range order {
 		free[g] = true
-		order = append(order, g)
 	}
 	// Chain starts are "as near to a primary input as possible".
 	sort.Slice(order, func(i, j int) bool {
@@ -122,6 +121,8 @@ func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) 
 		return order[i] < order[j]
 	})
 
+	adj := freeNeighbours{stamp: make([]int32, c.NumGates())}
+	var nexts []int
 	var groups [][]int
 	for _, start := range order {
 		if !free[start] {
@@ -131,7 +132,7 @@ func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) 
 		free[start] = false
 		cur := start
 		for len(module) < maxModuleSize {
-			var nexts []int
+			nexts = nexts[:0]
 			if !c.IsOutput(cur) {
 				for _, f := range c.Gates[cur].Fanout {
 					if free[f] {
@@ -143,7 +144,7 @@ func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) 
 				// Chain ended (primary output or no free successor):
 				// restart from a free gate adjacent to the module so the
 				// module stays connected.
-				nexts = adjacentFree(c, module, free)
+				nexts = adj.of(c, module, free, nexts)
 				if len(nexts) == 0 {
 					break
 				}
@@ -158,15 +159,22 @@ func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) 
 	return groups
 }
 
-// adjacentFree lists the free gates directly connected to the module, in
-// deterministic order.
-func adjacentFree(c *circuit.Circuit, module []int, free map[int]bool) []int {
-	seen := map[int]bool{}
-	var out []int
+// freeNeighbours lists the free gates directly connected to a module. Its
+// visited set is an epoch-stamped array: a gate was seen by the current
+// scan iff its stamp equals epoch, so nothing is cleared between scans.
+type freeNeighbours struct {
+	stamp []int32
+	epoch int32
+}
+
+// of appends the free neighbours of module to out (which must be empty)
+// and returns them sorted, so the rng draw over them is deterministic.
+func (s *freeNeighbours) of(c *circuit.Circuit, module []int, free []bool, out []int) []int {
+	s.epoch++
 	for _, g := range module {
 		for _, nb := range c.Neighbors(g) {
-			if free[nb] && !seen[nb] {
-				seen[nb] = true
+			if free[nb] && s.stamp[nb] != s.epoch {
+				s.stamp[nb] = s.epoch
 				out = append(out, nb)
 			}
 		}

@@ -2,6 +2,9 @@ package standard
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -129,6 +132,107 @@ func TestChainStartPartitionDifferentSeedsDiffer(t *testing.T) {
 	g1b := ChainStartPartition(c, 6, rand.New(rand.NewSource(1)))
 	if !equalGroups(g1, g1b) {
 		t.Error("same seed must reproduce the start partition")
+	}
+}
+
+// chainStartReference is the map-based ChainStartPartition the flat
+// implementation replaced (with IsOutput's former scan of Outputs), kept
+// as its oracle: the two must return the same groups and draw the same
+// rng stream.
+func chainStartReference(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) [][]int {
+	if maxModuleSize < 1 {
+		maxModuleSize = 1
+	}
+	levels := c.Levels()
+	free := make(map[int]bool)
+	var order []int
+	for _, g := range c.LogicGates() {
+		free[g] = true
+		order = append(order, g)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if levels[order[i]] != levels[order[j]] {
+			return levels[order[i]] < levels[order[j]]
+		}
+		return order[i] < order[j]
+	})
+
+	var groups [][]int
+	for _, start := range order {
+		if !free[start] {
+			continue
+		}
+		module := []int{start}
+		free[start] = false
+		cur := start
+		for len(module) < maxModuleSize {
+			var nexts []int
+			if !slices.Contains(c.Outputs, cur) {
+				for _, f := range c.Gates[cur].Fanout {
+					if free[f] {
+						nexts = append(nexts, f)
+					}
+				}
+			}
+			if len(nexts) == 0 {
+				nexts = adjacentFreeReference(c, module, free)
+				if len(nexts) == 0 {
+					break
+				}
+			}
+			cur = nexts[rng.Intn(len(nexts))]
+			free[cur] = false
+			module = append(module, cur)
+		}
+		sort.Ints(module)
+		groups = append(groups, module)
+	}
+	return groups
+}
+
+// adjacentFreeReference is the map-based adjacentFree that
+// chainStartReference restarts chains from.
+func adjacentFreeReference(c *circuit.Circuit, module []int, free map[int]bool) []int {
+	seen := map[int]bool{}
+	var out []int
+	for _, g := range module {
+		for _, nb := range c.Neighbors(g) {
+			if free[nb] && !seen[nb] {
+				seen[nb] = true
+				out = append(out, nb)
+			}
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+func TestChainStartPartitionMatchesReference(t *testing.T) {
+	rand2k, err := circuits.RandomLogic(circuits.Spec{
+		Name: "rand2k", Inputs: 120, Outputs: 60, Gates: 2000, Depth: 30, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*circuit.Circuit{
+		circuits.C17(), circuits.MustISCAS85Like("c432"), circuits.MustISCAS85Like("c1908"), rand2k,
+	} {
+		n := c.NumLogicGates()
+		est := EstimateModuleSize(estimatorFor(t, c), partition.PaperWeights(), partition.DefaultConstraints())
+		for _, size := range []int{1, 2, est, n, n + 7} {
+			for _, seed := range []int64{1, 2} {
+				rngGot, rngWant := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				got := ChainStartPartition(c, size, rngGot)
+				want := chainStartReference(c, size, rngWant)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s size %d seed %d: groups differ from the reference (%d vs %d groups)",
+						c.Name, size, seed, len(got), len(want))
+				}
+				if a, b := rngGot.Int63(), rngWant.Int63(); a != b {
+					t.Errorf("%s size %d seed %d: rng streams diverged", c.Name, size, seed)
+				}
+			}
+		}
 	}
 }
 

@@ -5,7 +5,10 @@
 # durable admission path and its cache hit), BenchmarkJournalAppend
 # (one fsynced record on the segmented journal's O(1) append path) and
 # BenchmarkLintRepo (a full load + type-check + analyzer-suite pass,
-# the cost every CI run and pre-commit hook pays) —
+# the cost every CI run and pre-commit hook pays), and the set-up ladder
+# steps BenchmarkEstimateNew_* (L0: the ρ-neighbourhood cache) and
+# BenchmarkChainStartPartition_* (L1: one chain start partition) at
+# c1908 and at a seeded 20k-gate random-logic circuit —
 # and render the results as BENCH_<n>.json so every PR leaves a
 # comparable perf point on disk (ROADMAP item: the BENCH_*.json
 # trajectory).
@@ -16,11 +19,11 @@
 # trajectory tracks what a client feels, not only what the optimizer
 # costs per op.
 #
-# BENCH_PR sets <n> (default 10); BENCH_OUT overrides the output path.
+# BENCH_PR sets <n> (default 12); BENCH_OUT overrides the output path.
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCH_PR="${BENCH_PR:-10}"
+BENCH_PR="${BENCH_PR:-12}"
 BENCH_OUT="${BENCH_OUT:-BENCH_${BENCH_PR}.json}"
 raw="$(mktemp /tmp/iddqsyn-bench.XXXXXX)"
 sum="$(mktemp /tmp/iddqsyn-bench-lat.XXXXXX)"
@@ -29,7 +32,8 @@ trap 'rm -f "$raw" "$sum"' EXIT INT TERM
 echo "== go test -bench (serving layer + optimizer) -> $BENCH_OUT"
 go test -run '^$' -bench '^BenchmarkServeSubmit$|^BenchmarkServeSubmitCached$|^BenchmarkJournalAppend$' \
     -benchmem -benchtime 50x ./internal/serve/ | tee "$raw"
-go test -run '^$' -bench '^BenchmarkEvolve$' -benchmem -benchtime 3x . | tee -a "$raw"
+go test -run '^$' -bench '^BenchmarkEvolve$|^BenchmarkEstimateNew_|^BenchmarkChainStartPartition_' \
+    -benchmem -benchtime 3x . | tee -a "$raw"
 go test -run '^$' -bench '^BenchmarkLintRepo$' -benchmem -benchtime 3x ./internal/lint/ | tee -a "$raw"
 
 echo "== iddqload smoke (serve e2e latency percentiles)"
