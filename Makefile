@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet lint lint-baseline lint-escape lint-timing race race-soak chaos fuzz-isc fuzz-ckpt fuzz-jobspec fuzz-journal fuzz-directives bench bench-json obs-demo serve-demo serve-soak load-demo torture clean
+.PHONY: check build test vet lint lint-baseline lint-escape lint-timing race race-soak chaos fuzz-isc fuzz-ckpt fuzz-moves fuzz-jobspec fuzz-journal fuzz-directives bench bench-json obs-demo serve-demo serve-soak load-demo torture clean
 
 # Tier-1 verification: vet + build + lint + race-enabled short tests.
 check:
@@ -72,6 +72,12 @@ fuzz-isc:
 # Fuzz the optimizer checkpoint loader (crash-freedom + round-trip).
 fuzz-ckpt:
 	$(GO) test ./internal/evolution/ -fuzz FuzzCheckpointRoundTrip -fuzztime 30s
+
+# Fuzz random MoveGates sequences against the from-scratch oracles:
+# per-module S(M) vs SeparationModule, partcheck.CompareEstimate, and the
+# cost bits of a fresh partition.New, after every move.
+fuzz-moves:
+	$(GO) test ./internal/partition/ -fuzz FuzzMoveSequence -fuzztime 30s
 
 # Fuzz the serving layer's job-spec parser (named errors, never panics).
 fuzz-jobspec:

@@ -193,7 +193,7 @@ func TestEvalModule(t *testing.T) {
 	if m.Settle <= 0 {
 		t.Error("settle time must be positive for a module with real current")
 	}
-	if m.Separation <= 0 {
+	if e.SeparationModule(gates) <= 0 {
 		t.Error("separation of a 6-gate module must be positive")
 	}
 	if len(m.Activity) != e.TS.Depth()+1 {
@@ -205,7 +205,7 @@ func TestEvalModuleEmpty(t *testing.T) {
 	a := annotatedC17(t)
 	e := New(a, DefaultParams())
 	m := e.EvalModule(nil)
-	if m.IDDMax != 0 || m.Separation != 0 {
+	if m.IDDMax != 0 || e.SeparationModule(nil) != 0 {
 		t.Error("empty module should have zero estimates")
 	}
 	if m.Discriminability(1e-6) < 1e17 {
@@ -326,6 +326,157 @@ func TestSeparationModuleMatchesBruteForce(t *testing.T) {
 				if got, want := e.SeparationModule(gates), bruteForce(gates); got != want {
 					t.Errorf("%s ρ=%d |M|=%d: S(M) = %d, brute force %d", c.Name, rho, len(gates), got, want)
 				}
+			}
+		}
+	}
+}
+
+// Closeness must equal Σ (ρ − d) over the module members within ρ − 1
+// hops (BoundedDistances as the reference), skip the gate itself when it
+// is a member, and so predict S(M ∪ {g}) − S(M) = ρ·|M| − closeness.
+func TestClosenessMatchesBruteForce(t *testing.T) {
+	rand2k, err := circuits.RandomLogic(circuits.Spec{
+		Name: "rand2k", Inputs: 120, Outputs: 60, Gates: 2000, Depth: 30, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*circuit.Circuit{circuits.C17(), circuits.MustISCAS85Like("c1908"), rand2k} {
+		a, err := celllib.Annotate(c, celllib.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		logic := c.LogicGates()
+		for _, rho := range []int{1, 2, 4, 6} {
+			p := DefaultParams()
+			p.Rho = rho
+			e := New(a, p)
+			rng := rand.New(rand.NewSource(int64(rho)))
+			moduleOf := make([]int, c.NumGates())
+			for trial := 0; trial < 20; trial++ {
+				for i := range moduleOf {
+					moduleOf[i] = -1
+				}
+				// Modules 0 and 1 over a random half of the logic gates
+				// plus g's near neighbours, so the sums are not all zero.
+				g := logic[rng.Intn(len(logic))]
+				near := c.BoundedDistances(g, rho)
+				for h := range near {
+					if c.Gates[h].Type != circuit.Input {
+						moduleOf[h] = rng.Intn(3) - 1
+					}
+				}
+				for _, h := range logic {
+					if rng.Intn(4) == 0 {
+						moduleOf[h] = rng.Intn(2)
+					}
+				}
+				moduleOf[g] = rng.Intn(3) - 1
+				var want [2]int
+				var members [2][]int
+				for _, h := range logic {
+					m := moduleOf[h]
+					if m < 0 || h == g {
+						continue
+					}
+					members[m] = append(members[m], h)
+					if d, ok := near[h]; ok && d < rho {
+						want[m] += rho - d
+					}
+				}
+				ca, cb := e.Closeness(g, moduleOf, 0, 1)
+				if ca != want[0] || cb != want[1] {
+					t.Fatalf("%s ρ=%d g=%d: closeness (%d, %d), brute force (%d, %d)", c.Name, rho, g, ca, cb, want[0], want[1])
+				}
+				for m, ms := range members {
+					if len(ms) > 300 {
+						continue // S(M) per trial stays cheap
+					}
+					with := append(append([]int(nil), ms...), g)
+					if got, want := e.SeparationModule(with)-e.SeparationModule(ms), rho*len(ms)-[2]int{ca, cb}[m]; got != want {
+						t.Fatalf("%s ρ=%d g=%d module %d: ΔS = %d, ρ·|M| − closeness = %d", c.Name, rho, g, m, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// SeparationModule and Closeness sit on the optimizers' move path: once
+// the pooled scratch is warm they must not allocate.
+func TestSeparationAllocFree(t *testing.T) {
+	if raceBuilt {
+		t.Skip("sync.Pool drops pooled scratch at random under -race")
+	}
+	a, err := celllib.Annotate(circuits.MustISCAS85Like("c432"), celllib.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(a, DefaultParams())
+	logic := a.Circuit.LogicGates()
+	gates := logic[:len(logic)/2]
+	moduleOf := make([]int, a.Circuit.NumGates())
+	for i, g := range logic {
+		moduleOf[g] = i % 2
+	}
+	sink := 0
+	run := func() {
+		ca, cb := e.Closeness(logic[len(logic)/2], moduleOf, 0, 1)
+		sink += e.SeparationModule(gates) + ca + cb
+	}
+	run() // fill the pool
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("SeparationModule + Closeness allocate %.1f times per call, want 0", allocs)
+	}
+	if sink == 0 {
+		t.Error("separations all zero")
+	}
+}
+
+// The set-bit kernels must reproduce the per-time-step scan exactly:
+// the same counts, and current sums added in the same gate order, so
+// the float results are bit-identical.
+func TestTimeSetKernelsMatchScan(t *testing.T) {
+	for _, name := range []string{"c432", "c1908", "c6288"} {
+		c := circuits.MustISCAS85Like(name)
+		a, err := celllib.Annotate(c, celllib.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := TransitionTimes(c)
+		rng := rand.New(rand.NewSource(3))
+		logic := c.LogicGates()
+		for trial := 0; trial < 20; trial++ {
+			var gates []int
+			for _, g := range logic {
+				if rng.Intn(1+trial) == 0 {
+					gates = append(gates, g)
+				}
+			}
+			wantN := make([]int, ts.Depth()+1)
+			wantI := make([]float64, ts.Depth()+1)
+			for _, g := range gates {
+				for tt := 0; tt <= ts.Depth(); tt++ {
+					if ts.Has(g, tt) {
+						wantN[tt]++
+						wantI[tt] += a.Peak[g]
+					}
+				}
+			}
+			var wantMax float64
+			for _, v := range wantI {
+				if v > wantMax {
+					wantMax = v
+				}
+			}
+			gotN := ts.ActivityProfile(gates)
+			for tt := range wantN {
+				if gotN[tt] != wantN[tt] {
+					t.Fatalf("%s trial %d: n(%d) = %d, scan %d", name, trial, tt, gotN[tt], wantN[tt])
+				}
+			}
+			if got := ts.MaxCurrent(a, gates); got != wantMax {
+				t.Fatalf("%s trial %d: îDD,max = %x, scan %x", name, trial, got, wantMax)
 			}
 		}
 	}

@@ -63,14 +63,14 @@ type Estimator struct {
 
 	nominalDelay float64
 
-	// Per-gate ρ-hop neighbourhoods, precomputed once so that the
-	// separation parameter — by far the most frequently re-evaluated
-	// estimate during evolution — needs no repeated BFS. The cache is
+	// Per-gate neighbourhoods, precomputed once so that the separation
+	// parameter of a whole module needs no repeated BFS. The cache is
 	// CSR over the upper triangle: nbrGate[nbrOff[g]:nbrOff[g+1]] lists
-	// the logic gates nb > g within ρ hops of g, in BFS order, and
-	// nbrDist holds the matching hop counts. Each near pair is stored
+	// the logic gates nb > g fewer than ρ hops from g, in BFS order, and
+	// nbrDist holds the matching hop counts. Pairs ρ or more hops apart
+	// separate by exactly ρ and need no entry. Each near pair is stored
 	// once, under its lower gate, which is the only direction
-	// separationScratch reads; S(M) is an integer sum, so the entry order
+	// SeparationModule reads; S(M) is an integer sum, so the entry order
 	// within a gate does not affect it. int32 offsets address 2³¹
 	// entries, a cache of over 10 GB.
 	nbrOff  []int32
@@ -89,32 +89,78 @@ type Estimator struct {
 	// can be exercised deterministically.
 	chaos *chaos.Injector
 
-	// scratch pools the per-EvalModule transient buffers (current
-	// profile, module membership mask). EvalModule runs millions of times
-	// per optimizer run on concurrent worker pools, so these must not be
-	// allocated per call. Pool contents never affect results: the buffers
-	// are (re)initialized before every use.
+	// scratch pools the transient buffers of EvalModule, SeparationModule
+	// and Closeness (current profile, module membership mask, bounded-BFS
+	// state). They run millions of times per optimizer run on concurrent
+	// worker pools, so these must not be allocated per call. Pool contents
+	// never affect results: the buffers are (re)initialized before every
+	// use.
 	scratch sync.Pool
 }
 
-// evalScratch is the transient working memory of one EvalModule call.
+// evalScratch is the transient working memory of one estimator call.
 type evalScratch struct {
 	prof     []float64 // current profile over the time grid
 	inModule []bool    // gate-ID membership mask; all false between uses
+	ball     ball      // bounded-BFS state
 }
 
 func (e *Estimator) getScratch() *evalScratch {
 	sc, _ := e.scratch.Get().(*evalScratch)
 	if sc == nil {
+		n := e.A.Circuit.NumGates()
 		//lint:ignore hotalloc pool miss only: steady-state evaluations reuse pooled scratch
 		sc = &evalScratch{
 			//lint:ignore hotalloc pool miss only
 			prof: make([]float64, e.TS.Depth()+1),
 			//lint:ignore hotalloc pool miss only
-			inModule: make([]bool, e.A.Circuit.NumGates()),
+			inModule: make([]bool, n),
+			//lint:ignore hotalloc pool miss only
+			ball: ball{stamp: make([]int32, n)},
 		}
 	}
 	return sc
+}
+
+// ball is the working state of a bounded breadth-first search over the
+// undirected logic graph. The visited set is an epoch-stamped array: a
+// gate counts as seen in the current search iff its stamp equals the
+// search's epoch, so nothing is cleared between searches.
+type ball struct {
+	stamp []int32 // per gate: epoch of the last search that reached it
+	epoch int32
+	gates []int32 // the last search's gates in BFS order, the centre first
+	dist  []uint8 // their hop counts from the centre
+}
+
+// search fills b.gates and b.dist with every gate within depth hops of g
+// (primary inputs included: paths may run through them), level by level
+// and, within a level, in the order the previous level's Neighbors lists
+// reach them.
+func (b *ball) search(c *circuit.Circuit, g, depth int) {
+	if b.epoch == math.MaxInt32 {
+		clear(b.stamp)
+		b.epoch = 0
+	}
+	b.epoch++
+	b.stamp[g] = b.epoch
+	//lint:ignore hotalloc reuses the buffer; grows only until it holds the largest ball searched with this scratch
+	b.gates = append(b.gates[:0], int32(g))
+	//lint:ignore hotalloc reuses the buffer (see gates)
+	b.dist = append(b.dist[:0], 0)
+	for head := 0; head < len(b.gates) && int(b.dist[head]) < depth; head++ {
+		d := b.dist[head] + 1
+		for _, nb := range c.Neighbors(int(b.gates[head])) {
+			if b.stamp[nb] == b.epoch {
+				continue
+			}
+			b.stamp[nb] = b.epoch
+			//lint:ignore hotalloc reuses the buffer (see gates)
+			b.gates = append(b.gates, int32(nb))
+			//lint:ignore hotalloc reuses the buffer (see gates)
+			b.dist = append(b.dist, d)
+		}
+	}
 }
 
 // SetObs attaches run telemetry: every EvalModule call increments
@@ -166,53 +212,40 @@ func mustRho(rho int) {
 	}
 }
 
-// buildNeighbourhoods fills the CSR neighbourhood cache with one bounded
-// BFS per logic gate over the undirected logic graph. The visited set is
-// an epoch-stamped array shared by all searches: a gate counts as seen in
-// the current search iff its stamp equals the search's epoch, so nothing
-// is cleared between gates.
+// buildNeighbourhoods fills the CSR neighbourhood cache with one BFS of
+// depth ρ−1 per logic gate over the undirected logic graph, all sharing
+// one epoch-stamped visited array.
 func (e *Estimator) buildNeighbourhoods() {
 	c := e.A.Circuit
 	n := c.NumGates()
 	e.nbrOff = make([]int32, n+1)
-	stamp := make([]int32, n)
-	var frontier, next []int
-	var epoch int32
-	logic, reached := c.NumLogicGates(), 0
+	b := ball{stamp: make([]int32, n)}
+	logic, searched, reached := c.NumLogicGates(), 0, 0
 	for g := 0; g < n; g++ {
 		e.nbrOff[g] = int32(len(e.nbrGate))
 		if c.Gates[g].Type == circuit.Input {
 			continue
 		}
-		e.reserve(reached, int(epoch), logic)
-		epoch++
-		stamp[g] = epoch
-		frontier = append(frontier[:0], g)
-		for d := 1; d <= e.P.Rho && len(frontier) > 0; d++ {
-			next = next[:0]
-			for _, f := range frontier {
-				for _, nb := range c.Neighbors(f) {
-					if stamp[nb] == epoch {
-						continue
-					}
-					stamp[nb] = epoch
-					next = append(next, nb)
-					reached++
-					if nb > g {
-						e.nbrGate = append(e.nbrGate, int32(nb))
-						e.nbrDist = append(e.nbrDist, uint8(d))
-					}
-				}
+		e.reserve(reached, searched, logic)
+		b.search(c, g, e.P.Rho-1)
+		searched++
+		for i, nb := range b.gates[1:] {
+			if c.Gates[nb].Type == circuit.Input {
+				continue
 			}
-			frontier, next = next, frontier
+			reached++
+			if int(nb) > g {
+				e.nbrGate = append(e.nbrGate, nb)
+				e.nbrDist = append(e.nbrDist, b.dist[i+1])
+			}
 		}
 	}
 	e.nbrOff[n] = int32(len(e.nbrGate))
 }
 
 // reserve grows the cache before it fills, to the size extrapolated from
-// the searched gates' mean neighbourhood: reached counts every gate the
-// searches found, and each pair is found from both of its gates but
+// the searched gates' mean neighbourhood: reached counts every logic gate
+// the searches found, and each pair is found from both of its gates but
 // stored once, under its lower one. Left to append, a cache of millions
 // of entries would be copied in 1.25× steps, allocating several times
 // its final size.
@@ -242,7 +275,6 @@ type Module struct {
 	SensorArea float64 // A0 + A1/Rs
 	LeakND     float64 // worst-case fault-free IDDQ,nd, A
 	Settle     float64 // Δ(τ): current-decay + sensing time, s (§3.4)
-	Separation int     // S(M) of §3.3
 	Activity   []int   // n(t) profile over the time grid
 }
 
@@ -279,7 +311,10 @@ func mustFinite(name string, v float64) float64 {
 	return v
 }
 
-// EvalModule computes all per-module estimates for a gate group.
+// EvalModule computes the per-module electrical estimates for a gate
+// group. The separation S(M) is not among them: it is a property of the
+// grouping, kept per module by package partition (see SeparationModule
+// and Closeness).
 func (e *Estimator) EvalModule(gates []int) *Module {
 	if e.evalCalls != nil {
 		e.evalCalls.Inc()
@@ -311,7 +346,6 @@ func (e *Estimator) EvalModule(gates []int) *Module {
 	}
 	m.LeakND = mustFinite("IDDQ,nd", m.LeakND)
 	m.Settle = must(electrical.SettlingTime(m.Tau, m.IDDMax, e.P.IDDQth))
-	m.Separation = e.separationScratch(gates, sc.inModule)
 	m.Activity = e.TS.ActivityProfile(gates)
 	return m
 }
@@ -322,18 +356,13 @@ func (e *Estimator) EvalModule(gates []int) *Module {
 // exists. S(M) is minimal when the module is a tightly connected cluster.
 // Pairs farther than ρ hops (or disconnected) contribute exactly ρ, so
 // S(M) = ρ·(number of pairs) − Σ_{near pairs} (ρ − dist); only the cached
-// ρ-hop neighbourhoods need to be scanned.
+// neighbourhoods need to be scanned.
 func (e *Estimator) SeparationModule(gates []int) int {
-	return e.separationScratch(gates, make([]bool, e.A.Circuit.NumGates()))
-}
-
-// separationScratch is SeparationModule against a caller-provided
-// membership mask (all false on entry; restored to all false on return so
-// pooled masks need no full clear between uses).
-func (e *Estimator) separationScratch(gates []int, inModule []bool) int {
 	if len(gates) < 2 {
 		return 0
 	}
+	sc := e.getScratch()
+	inModule := sc.inModule
 	for _, g := range gates {
 		inModule[g] = true
 	}
@@ -352,7 +381,31 @@ func (e *Estimator) separationScratch(gates []int, inModule []bool) int {
 	for _, g := range gates {
 		inModule[g] = false
 	}
+	e.scratch.Put(sc)
 	return sum
+}
+
+// Closeness returns, for gate g and two modules a and b of the assignment
+// moduleOf, the sums Σ (ρ − d(g, h)) over the gates h ≠ g of each module
+// fewer than ρ hops from g — how far g's separation to the module's
+// members falls short of ρ per member (farther members add 0). One gate
+// joining or leaving a module M (g ∉ M) changes S by exactly
+// ρ·|M| − closeness(g, M), so a single-gate move re-costs S from one BFS
+// of depth ρ−1 around g instead of a scan of both modules.
+func (e *Estimator) Closeness(g int, moduleOf []int, a, b int) (ca, cb int) {
+	sc := e.getScratch()
+	sc.ball.search(e.A.Circuit, g, e.P.Rho-1)
+	rho := e.P.Rho
+	for i, h := range sc.ball.gates[1:] {
+		switch moduleOf[h] {
+		case a:
+			ca += rho - int(sc.ball.dist[i+1])
+		case b:
+			cb += rho - int(sc.ball.dist[i+1])
+		}
+	}
+	e.scratch.Put(sc)
+	return ca, cb
 }
 
 // NominalDelay returns the longest-path delay D of the sensor-free

@@ -109,10 +109,9 @@ func (ts *TimeSets) ActivityProfile(gates []int) []int {
 	//lint:ignore hotalloc the profile is retained in the returned Module estimate, which the partition caches per module
 	prof := make([]int, ts.depth+1)
 	for _, g := range gates {
-		b := ts.sets[g]
-		for t := 0; t <= ts.depth; t++ {
-			if b.has(t) {
-				prof[t]++
+		for wi, w := range ts.sets[g] {
+			for ; w != 0; w &= w - 1 {
+				prof[wi*64+bits.TrailingZeros64(w)]++
 			}
 		}
 	}
@@ -132,18 +131,20 @@ func (ts *TimeSets) MaxCurrent(a *celllib.Annotated, gates []int) float64 {
 }
 
 // maxCurrentScratch is MaxCurrent against a caller-provided profile
-// buffer of length depth+1 (any contents; it is zeroed here).
+// buffer of length depth+1 (any contents; it is zeroed here). It visits
+// only the set bits of each time set; the gates still add into every
+// prof[t] in the order given, so the float sums do not depend on how the
+// bits are found.
 func (ts *TimeSets) maxCurrentScratch(a *celllib.Annotated, gates []int, prof []float64) float64 {
 	prof = prof[:ts.depth+1]
 	for t := range prof {
 		prof[t] = 0
 	}
 	for _, g := range gates {
-		b := ts.sets[g]
 		peak := a.Peak[g]
-		for t := 0; t <= ts.depth; t++ {
-			if b.has(t) {
-				prof[t] += peak
+		for wi, w := range ts.sets[g] {
+			for ; w != 0; w &= w - 1 {
+				prof[wi*64+bits.TrailingZeros64(w)] += peak
 			}
 		}
 	}

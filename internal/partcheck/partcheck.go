@@ -17,6 +17,7 @@ package partcheck
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"iddqsyn/internal/circuit"
@@ -35,7 +36,7 @@ const (
 	ConstraintSensorArea       = "sensor-area"       // A0 + A1/Rs ≤ limit
 	ConstraintPeakCurrent      = "peak-current"      // îDD,max ≤ limit
 	ConstraintRailSizing       = "rail-perturbation" // Rs·îDD,max = r* identity
-	ConstraintStaleEstimate    = "stale-estimate"    // cached estimates match recomputation
+	ConstraintStaleEstimate    = "stale-estimate"    // cached estimates and S(M) match recomputation
 )
 
 // Violation is one named constraint failure.
@@ -344,6 +345,9 @@ func CompareEstimate(e *estimate.Estimator, mi int, got *estimate.Module) []Viol
 	cmp("IDDQ,nd", got.LeakND, fresh.LeakND)
 	cmp("sensor area", got.SensorArea, fresh.SensorArea)
 	cmp("Δ(τ)", got.Settle, fresh.Settle)
+	if !slices.Equal(got.Activity, fresh.Activity) {
+		bad(ConstraintStaleEstimate, "activity n(t) = %v, recomputed %v", got.Activity, fresh.Activity)
+	}
 	return out
 }
 

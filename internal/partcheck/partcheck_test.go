@@ -252,3 +252,43 @@ func TestVerifyPartitionAuditsLiveOptimizerState(t *testing.T) {
 		t.Errorf("partcheck feasibility %v != partition.Feasible() %v", got, p.Feasible())
 	}
 }
+
+func TestCompareEstimateDetectsTamperedActivity(t *testing.T) {
+	c, e := c17Estimator(t)
+	m := e.EvalModule(ids(t, c, "g1", "g3", "g5"))
+	tampered := *m
+	tampered.Activity = append([]int(nil), m.Activity...)
+	tampered.Activity[len(tampered.Activity)-1]++ // every other figure still matches
+	vs := CompareEstimate(e, 0, &tampered)
+	if len(vs) != 1 || vs[0].Constraint != ConstraintStaleEstimate || !strings.Contains(vs[0].Detail, "activity") {
+		t.Errorf("tampered activity profile: got %v, want one stale activity violation", vs)
+	}
+}
+
+func TestVerifyPartitionDetectsStaleSeparation(t *testing.T) {
+	c, e := c17Estimator(t)
+	p, err := partition.New(e, [][]int{
+		ids(t, c, "g1", "g3", "g5"),
+		ids(t, c, "g2", "g4", "g6"),
+	}, partition.PaperWeights(), partition.DefaultConstraints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Swap in an estimator that differs from the one the partition was
+	// built with only in ρ: every electrical estimate still matches, but
+	// the partition's per-module S(M) is now stale (with ρ = 1 every pair
+	// counts 1; both modules hold a pair two hops apart).
+	prm := e.P
+	prm.Rho = 1
+	p.E = estimate.New(e.A, prm)
+	r := VerifyPartition(p, StructureOnly())
+	var stale int
+	for _, v := range r.Violations {
+		if v.Constraint == ConstraintStaleEstimate && strings.Contains(v.Detail, "S(M)") {
+			stale++
+		}
+	}
+	if stale != p.NumModules() {
+		t.Errorf("stale S(M) in %d of %d modules reported:\n%s", stale, p.NumModules(), r)
+	}
+}

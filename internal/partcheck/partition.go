@@ -1,14 +1,17 @@
 package partcheck
 
 import (
+	"fmt"
+
 	"iddqsyn/internal/partition"
 )
 
 // VerifyPartition audits a live Partition end to end: the netlist and
 // exact-cover structure, the estimator-derived bounds in lim, and the
-// partition's incrementally maintained module-estimate cache (which a
-// long optimizer run updates thousands of times and must still agree
-// with a from-scratch evaluation).
+// partition's incrementally maintained state — the module-estimate cache
+// and the per-module S(M) that moves update by delta — which a long
+// optimizer run updates thousands of times and must still agree exactly
+// with a from-scratch evaluation.
 func VerifyPartition(p *partition.Partition, lim Limits) *Report {
 	c := p.E.A.Circuit
 	r := Verify(c, p.Groups(), p.E, lim)
@@ -17,6 +20,12 @@ func VerifyPartition(p *partition.Partition, lim Limits) *Report {
 	}
 	for mi := 0; mi < p.NumModules(); mi++ {
 		r.Violations = append(r.Violations, CompareEstimate(p.E, mi, p.ModuleEstimate(mi))...)
+		if got, want := p.ModuleSeparation(mi), p.E.SeparationModule(p.ModuleGates(mi)); got != want {
+			r.Violations = append(r.Violations, Violation{
+				Constraint: ConstraintStaleEstimate, Module: mi,
+				Detail: fmt.Sprintf("S(M) = %d, recomputed %d", got, want),
+			})
+		}
 	}
 	return r
 }

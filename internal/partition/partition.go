@@ -9,15 +9,19 @@
 // with c₁ = log(sensor area), c₂ = delay overhead, c₃ = log(separation),
 // c₄ = test-time overhead and c₅ = module count K.
 //
-// The representation is mutable and incremental: moving gates between
-// modules invalidates only the touched modules' estimates, so the
-// evolution algorithm of §4 can evaluate descendants cheaply ("costs are
-// recomputed just for the modified modules"). The descendant loop clones
-// and discards thousands of partitions per generation, so the module
-// representation is allocation-lean: each module's gate set is a sorted
-// int slice that is immutable once built (MoveGates replaces the touched
-// modules' slices instead of editing them), which lets Clone share every
-// unmodified slice and every cached estimate copy-on-write style.
+// The representation is mutable and incremental, so the evolution
+// algorithm of §4 can evaluate descendants cheaply ("costs are recomputed
+// just for the modified modules"). Moving gates invalidates only the
+// touched modules' electrical estimates. The separation S(M) is kept per
+// module and never invalidated: a single-gate move updates both touched
+// modules' S by the moved gate's closeness to them (one ρ-bounded BFS
+// around the gate), and a multi-gate move rescans the two modules. The
+// descendant loop clones and discards thousands of partitions per
+// generation, so the module representation is allocation-lean: each
+// module's gate set is a sorted int slice that is immutable once built
+// (MoveGates replaces the touched modules' slices instead of editing
+// them), which lets Clone share every unmodified slice and every cached
+// estimate copy-on-write style.
 package partition
 
 import (
@@ -101,6 +105,9 @@ type moduleState struct {
 	// est caches the estimator output; nil after a move touched this
 	// module. Immutable once computed, so clones share it.
 	est *estimate.Module
+	// sep is S(M) of §3.3, always current: New computes it, MoveGates
+	// keeps it.
+	sep int
 }
 
 // Partition is a mutable partition of the circuit's logic gates with
@@ -149,6 +156,7 @@ func New(e *estimate.Estimator, groups [][]int, w Weights, cons Constraints) (*P
 			covered++
 		}
 		sort.Ints(ms.gates)
+		ms.sep = e.SeparationModule(ms.gates)
 		p.modules = append(p.modules, ms)
 	}
 	if covered != c.NumLogicGates() {
@@ -178,6 +186,9 @@ func (p *Partition) ModuleSize(mi int) int { return len(p.modules[mi].gates) }
 
 // ModuleOf returns the module index of a gate (-1 for primary inputs).
 func (p *Partition) ModuleOf(gate int) int { return p.moduleOf[gate] }
+
+// ModuleSeparation returns S(M) of module mi (§3.3).
+func (p *Partition) ModuleSeparation(mi int) int { return p.modules[mi].sep }
 
 // Groups returns the whole partition as gate-ID groups.
 func (p *Partition) Groups() [][]int {
@@ -213,16 +224,17 @@ func (p *Partition) Clone() *Partition {
 		cost:      p.cost,
 	}
 	for i, ms := range p.modules {
-		q.modules[i] = &moduleState{gates: ms.gates, est: ms.est}
+		q.modules[i] = &moduleState{gates: ms.gates, est: ms.est, sep: ms.sep}
 	}
 	return q
 }
 
 // MoveGates moves the given gates from module `from` to module `to`,
-// invalidating both modules' caches. If `from` empties, it is deleted and
-// module indices above it shift down (the §4.2 mutation semantics: "if
-// all gates of M are moved, this module is deleted"). It returns the
-// possibly-adjusted index of the target module.
+// invalidating both modules' estimates and updating their S(M): by delta
+// when exactly one gate moves, by a rescan otherwise. If `from` empties,
+// it is deleted and module indices above it shift down (the §4.2
+// mutation semantics: "if all gates of M are moved, this module is
+// deleted"). It returns the possibly-adjusted index of the target module.
 func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	if from == to {
 		return to, fmt.Errorf("partition: move within module %d", from)
@@ -235,6 +247,14 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 		if p.moduleOf[g] != from {
 			return to, fmt.Errorf("partition: gate %d not in module %d", g, from)
 		}
+	}
+	if len(gates) == 1 {
+		// g leaves src∖{g} and joins dst: S changes by g's separation to
+		// each, read off one BFS around g before moduleOf changes.
+		cSrc, cDst := p.E.Closeness(gates[0], p.moduleOf, from, to)
+		rho := p.E.P.Rho
+		src.sep -= rho*(len(src.gates)-1) - cSrc
+		dst.sep += rho*len(dst.gates) - cDst
 	}
 	// Build replacement slices rather than editing in place: the old
 	// slices may be shared with clones and with cached estimate.Module
@@ -261,6 +281,10 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	sort.Ints(newDst)
 	src.gates, src.est = newSrc, nil
 	dst.gates, dst.est = newDst, nil
+	if len(gates) > 1 {
+		src.sep = p.E.SeparationModule(newSrc)
+		dst.sep = p.E.SeparationModule(newDst)
+	}
 	p.costValid = false
 	if len(src.gates) == 0 {
 		p.deleteModule(from)
@@ -389,11 +413,11 @@ func (p *Partition) Costs() CostVector {
 	mods := sc.mods[:len(p.modules)]
 	var areaSum float64
 	sepSum := 0
-	for mi := range p.modules {
+	for mi, ms := range p.modules {
 		m := p.ModuleEstimate(mi)
 		mods[mi] = m
 		areaSum += m.SensorArea
-		sepSum += m.Separation
+		sepSum += ms.sep
 	}
 	dBIC := p.E.BICDelayScratch(p.moduleOf, mods, sc.arrival[:cap(sc.arrival)])
 	cv := CostVector{

@@ -5,10 +5,13 @@
 # durable admission path and its cache hit), BenchmarkJournalAppend
 # (one fsynced record on the segmented journal's O(1) append path) and
 # BenchmarkLintRepo (a full load + type-check + analyzer-suite pass,
-# the cost every CI run and pre-commit hook pays), and the set-up ladder
+# the cost every CI run and pre-commit hook pays), the set-up ladder
 # steps BenchmarkEstimateNew_* (L0: the ρ-neighbourhood cache) and
 # BenchmarkChainStartPartition_* (L1: one chain start partition) at
-# c1908 and at a seeded 20k-gate random-logic circuit —
+# c1908 and at a seeded 20k-gate random-logic circuit, and the one-move
+# re-cost step BenchmarkIncrementalCost (L2: clone, one single-gate move,
+# Costs on c1908) beside BenchmarkFullRecomputeCost (the same move
+# re-costed by a fresh partition.New) —
 # and render the results as BENCH_<n>.json so every PR leaves a
 # comparable perf point on disk (ROADMAP item: the BENCH_*.json
 # trajectory).
@@ -19,11 +22,11 @@
 # trajectory tracks what a client feels, not only what the optimizer
 # costs per op.
 #
-# BENCH_PR sets <n> (default 12); BENCH_OUT overrides the output path.
+# BENCH_PR sets <n> (default 13); BENCH_OUT overrides the output path.
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCH_PR="${BENCH_PR:-12}"
+BENCH_PR="${BENCH_PR:-13}"
 BENCH_OUT="${BENCH_OUT:-BENCH_${BENCH_PR}.json}"
 raw="$(mktemp /tmp/iddqsyn-bench.XXXXXX)"
 sum="$(mktemp /tmp/iddqsyn-bench-lat.XXXXXX)"
@@ -34,6 +37,8 @@ go test -run '^$' -bench '^BenchmarkServeSubmit$|^BenchmarkServeSubmitCached$|^B
     -benchmem -benchtime 50x ./internal/serve/ | tee "$raw"
 go test -run '^$' -bench '^BenchmarkEvolve$|^BenchmarkEstimateNew_|^BenchmarkChainStartPartition_' \
     -benchmem -benchtime 3x . | tee -a "$raw"
+go test -run '^$' -bench '^BenchmarkIncrementalCost$|^BenchmarkFullRecomputeCost$' \
+    -benchmem -benchtime 1000x . | tee -a "$raw"
 go test -run '^$' -bench '^BenchmarkLintRepo$' -benchmem -benchtime 3x ./internal/lint/ | tee -a "$raw"
 
 echo "== iddqload smoke (serve e2e latency percentiles)"
