@@ -18,6 +18,7 @@ import (
 
 	"iddqsyn/internal/atpg"
 	"iddqsyn/internal/celllib"
+	"iddqsyn/internal/circuit"
 	"iddqsyn/internal/circuits"
 	"iddqsyn/internal/core"
 	"iddqsyn/internal/diagnose"
@@ -174,10 +175,22 @@ func BenchmarkAblationLifetime(b *testing.B) {
 
 // §4.2 incremental cost evaluation ablation: cost re-evaluation after one
 // mutation, incremental (only touched modules recomputed) vs from-scratch
-// partition construction.
-func BenchmarkIncrementalCost(b *testing.B) {
+// partition construction. BenchmarkIncrementalCost runs on c1908,
+// BenchmarkIncrementalCost_* on a chain start partition of a seeded
+// random-logic circuit.
+func BenchmarkIncrementalCost(b *testing.B) { benchmarkIncrementalCost(b, mutatedPartition(b)) }
+
+func BenchmarkIncrementalCost_20k(b *testing.B) {
+	benchmarkIncrementalCost(b, chainPartition(b, "20k"))
+}
+func BenchmarkIncrementalCost_80k(b *testing.B) {
+	benchmarkIncrementalCost(b, chainPartition(b, "80k"))
+}
+
+// benchmarkIncrementalCost times one L2 step: a clone, one single-gate
+// boundary move, and Costs.
+func benchmarkIncrementalCost(b *testing.B, p *partition.Partition) {
 	b.ReportAllocs()
-	p := mutatedPartition(b)
 	rng := rand.New(rand.NewSource(7))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -185,6 +198,21 @@ func BenchmarkIncrementalCost(b *testing.B) {
 		moveOneGate(b, q, rng)
 		_ = q.Cost()
 	}
+}
+
+// chainPartition returns the costed chain start partition (seed 1, the
+// estimated module size) of a setupCircuit circuit.
+func chainPartition(b *testing.B, name string) *partition.Partition {
+	b.Helper()
+	e := estimate.New(setupCircuit(b, name), estimate.DefaultParams())
+	w, cons := partition.PaperWeights(), partition.DefaultConstraints()
+	size := standard.EstimateModuleSize(e, w, cons)
+	p, err := partition.New(e, standard.ChainStartPartition(e.A.Circuit, size, rand.New(rand.NewSource(1))), w, cons)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.Cost()
+	return p
 }
 
 func BenchmarkFullRecomputeCost(b *testing.B) {
@@ -242,15 +270,25 @@ func moveOneGate(b *testing.B, p *partition.Partition, rng *rand.Rand) {
 }
 
 // Set-up ladder steps L0 (the ρ-neighbourhood cache built by
-// estimate.New) and L1 (one chain start partition), at c1908 and at a
-// seeded 20k-gate random-logic circuit, where they dominate a run.
+// estimate.New) and L1 (one chain start partition), at c1908 and at
+// seeded 20k- and 80k-gate random-logic circuits, where they dominate a
+// run. The 80k cases are for one-off scale measurements and stay out of
+// scripts/bench.sh.
 func setupCircuit(b *testing.B, name string) *celllib.Annotated {
 	b.Helper()
-	c, err := circuits.ISCAS85Like(name)
-	if name == "20k" {
+	var c *circuit.Circuit
+	var err error
+	switch name {
+	case "20k":
 		c, err = circuits.RandomLogic(circuits.Spec{
 			Name: "rand20k", Inputs: 1200, Outputs: 600, Gates: 20000, Depth: 60, Seed: 1,
 		})
+	case "80k":
+		c, err = circuits.RandomLogic(circuits.Spec{
+			Name: "rand80k", Inputs: 4800, Outputs: 2400, Gates: 80000, Depth: 120, Seed: 1,
+		})
+	default:
+		c, err = circuits.ISCAS85Like(name)
 	}
 	if err != nil {
 		b.Fatal(err)
@@ -273,6 +311,7 @@ func benchmarkEstimateNew(b *testing.B, name string) {
 
 func BenchmarkEstimateNew_C1908(b *testing.B) { benchmarkEstimateNew(b, "c1908") }
 func BenchmarkEstimateNew_20k(b *testing.B)   { benchmarkEstimateNew(b, "20k") }
+func BenchmarkEstimateNew_80k(b *testing.B)   { benchmarkEstimateNew(b, "80k") }
 
 func benchmarkChainStartPartition(b *testing.B, name string) {
 	b.ReportAllocs()
@@ -287,6 +326,7 @@ func benchmarkChainStartPartition(b *testing.B, name string) {
 
 func BenchmarkChainStartPartition_C1908(b *testing.B) { benchmarkChainStartPartition(b, "c1908") }
 func BenchmarkChainStartPartition_20k(b *testing.B)   { benchmarkChainStartPartition(b, "20k") }
+func BenchmarkChainStartPartition_80k(b *testing.B)   { benchmarkChainStartPartition(b, "80k") }
 
 // §3 estimator micro-benchmarks: the quantities recomputed inside the
 // evolution loop.

@@ -77,6 +77,18 @@ type Estimator struct {
 	nbrGate []int32
 	nbrDist []uint8
 
+	// The arrival kernel shared by NominalDelay and BICDelay: the logic
+	// gates numbered by their TopoOrder position, primary inputs dropped
+	// (they arrive at 0, which adds nothing to a max that starts at 0).
+	// pos maps a gate ID to its position (-1 for inputs);
+	// fanin[faninOff[p]:faninOff[p+1]] lists the positions of the logic
+	// gates driving position p, all below p; nominal holds the
+	// sensor-free gate delays in position order.
+	pos      []int32
+	faninOff []int32
+	fanin    []int32
+	nominal  []float64
+
 	// Telemetry handles, resolved once by SetObs; nil (no-op) when the
 	// estimator is unobserved. The metrics themselves are atomic, so the
 	// optimizer worker pools record through them without contention.
@@ -103,6 +115,7 @@ type evalScratch struct {
 	prof     []float64 // current profile over the time grid
 	inModule []bool    // gate-ID membership mask; all false between uses
 	ball     ball      // bounded-BFS state
+	arrival  []float64 // gate delays, then arrival times, in kernel position order
 }
 
 func (e *Estimator) getScratch() *evalScratch {
@@ -117,6 +130,8 @@ func (e *Estimator) getScratch() *evalScratch {
 			inModule: make([]bool, n),
 			//lint:ignore hotalloc pool miss only
 			ball: ball{stamp: make([]int32, n)},
+			//lint:ignore hotalloc pool miss only
+			arrival: make([]float64, len(e.nominal)),
 		}
 	}
 	return sc
@@ -188,14 +203,45 @@ func (e *Estimator) SetChaos(in *chaos.Injector) {
 }
 
 // New builds an Estimator, computing the transition-time sets, the
-// nominal (sensor-free) circuit delay, and the bounded-distance cache
-// once. It panics if p.Rho exceeds MaxRho.
+// arrival kernel, the nominal (sensor-free) circuit delay, and the
+// bounded-distance cache once. It panics if p.Rho exceeds MaxRho.
 func New(a *celllib.Annotated, p Params) *Estimator {
 	mustRho(p.Rho)
 	e := &Estimator{P: p, A: a, TS: TransitionTimes(a.Circuit)}
-	e.nominalDelay = e.longestPath(nil, nil, nil)
+	e.buildArrivalKernel()
+	e.nominalDelay = e.BICDelay(nil, nil)
 	e.buildNeighbourhoods()
 	return e
+}
+
+// buildArrivalKernel numbers the logic gates by TopoOrder position and
+// fills the kernel's position map, fanin CSR and nominal delays.
+func (e *Estimator) buildArrivalKernel() {
+	c := e.A.Circuit
+	logic := c.NumLogicGates()
+	e.pos = make([]int32, c.NumGates())
+	e.faninOff = make([]int32, 1, logic+1)
+	e.nominal = make([]float64, 0, logic)
+	edges := 0
+	for i := range c.Gates {
+		edges += len(c.Gates[i].Fanin)
+	}
+	e.fanin = make([]int32, 0, edges) // primary-input fanins leave it short
+	for _, id := range c.TopoOrder() {
+		g := &c.Gates[id]
+		if g.Type == circuit.Input {
+			e.pos[id] = -1
+			continue
+		}
+		e.pos[id] = int32(len(e.nominal))
+		e.nominal = append(e.nominal, e.A.Delay[id])
+		for _, f := range g.Fanin {
+			if fp := e.pos[f]; fp >= 0 {
+				e.fanin = append(e.fanin, fp)
+			}
+		}
+		e.faninOff = append(e.faninOff, int32(len(e.fanin)))
+	}
 }
 
 // MaxRho is the largest separation cap ρ an Estimator accepts: the
@@ -268,14 +314,15 @@ func (e *Estimator) reserve(reached, searched, logic int) {
 type Module struct {
 	Gates []int // the group, ascending gate IDs
 
-	IDDMax     float64 // §3.1 transient-current upper bound, A
-	Rs         float64 // bypass ON resistance r*/îDD,max, Ω
-	Cs         float64 // virtual-rail parasitic capacitance, F
-	Tau        float64 // sensor time constant Rs·Cs, s
-	SensorArea float64 // A0 + A1/Rs
-	LeakND     float64 // worst-case fault-free IDDQ,nd, A
-	Settle     float64 // Δ(τ): current-decay + sensing time, s (§3.4)
-	Activity   []int   // n(t) profile over the time grid
+	IDDMax     float64   // §3.1 transient-current upper bound, A
+	Rs         float64   // bypass ON resistance r*/îDD,max, Ω
+	Cs         float64   // virtual-rail parasitic capacitance, F
+	Tau        float64   // sensor time constant Rs·Cs, s
+	SensorArea float64   // A0 + A1/Rs
+	LeakND     float64   // worst-case fault-free IDDQ,nd, A
+	Settle     float64   // Δ(τ): current-decay + sensing time, s (§3.4)
+	Activity   []int     // n(t) profile over the time grid
+	Delay      []float64 // per gate of Gates: its delay degraded by δ(g, t) of §3.2, s
 }
 
 // Discriminability returns d(M) = IDDQ,th / IDDQ,nd (§2).
@@ -347,7 +394,28 @@ func (e *Estimator) EvalModule(gates []int) *Module {
 	m.LeakND = mustFinite("IDDQ,nd", m.LeakND)
 	m.Settle = must(electrical.SettlingTime(m.Tau, m.IDDMax, e.P.IDDQth))
 	m.Activity = e.TS.ActivityProfile(gates)
+	m.Delay = e.degradedDelays(m)
 	return m
+}
+
+// degradedDelays returns the gate delays of module m degraded by δ(g, t)
+// of §3.2, aligned with m.Gates. The gate delays are "time grid
+// functions": the degradation of gate g is evaluated at the grid time the
+// critical transition reaches it (its level — the longest input→g path),
+// using the module's activity n(t) at exactly that instant, the module's
+// Rs, and its rail capacitance.
+func (e *Estimator) degradedDelays(m *Module) []float64 {
+	levels := e.A.Circuit.Levels()
+	//lint:ignore hotalloc the delays are retained in the returned Module estimate, which the partition caches per module
+	delay := make([]float64, len(m.Gates))
+	for i, g := range m.Gates {
+		n := 1
+		if t := levels[g]; t < len(m.Activity) && m.Activity[t] > 1 {
+			n = m.Activity[t]
+		}
+		delay[i] = e.A.Delay[g] * must(electrical.DelayDegradation(n, m.Rs, e.A.Rg[g], e.A.Delay[g], m.Cs))
+	}
+	return delay
 }
 
 // SeparationModule computes S(M) of §3.3: the sum over all gate pairs of
@@ -415,71 +483,46 @@ func (e *Estimator) NominalDelay() float64 { return e.nominalDelay }
 // BICDelay returns D_BIC: the longest-path delay with every gate's delay
 // degraded by δ(g, t) of §3.2. moduleOf maps each gate ID to its module
 // index (inputs may carry any value); mods holds the corresponding module
-// estimates. The gate delays are "time grid functions": the degradation
-// of gate g is evaluated at the grid time the critical transition reaches
-// it (its level — the longest input→g path), using the module's activity
-// n(t) at exactly that instant, the module's Rs, and its rail capacitance.
+// estimates, each covering exactly the gates moduleOf maps to it. A gate
+// takes its degraded delay from its module's Module.Delay and keeps its
+// nominal delay when its module has no entry in mods or a nil one (with
+// mods nil, the result is the nominal delay D). The pass evaluates no
+// degradation itself, so a move pays for the modules it touched, in
+// EvalModule.
 func (e *Estimator) BICDelay(moduleOf []int, mods []*Module) float64 {
-	return e.longestPath(moduleOf, mods, nil)
-}
-
-// BICDelayScratch is BICDelay with a caller-provided arrival-time buffer
-// (reused when cap(scratch) covers the circuit), for cost evaluations on
-// the optimizers' hot path.
-func (e *Estimator) BICDelayScratch(moduleOf []int, mods []*Module, scratch []float64) float64 {
-	return e.longestPath(moduleOf, mods, scratch)
-}
-
-// longestPath computes the circuit delay; with mods == nil it is the
-// nominal delay, otherwise per-gate degradation factors are applied.
-// scratch, if non-nil, is reused for arrival times.
-func (e *Estimator) longestPath(moduleOf []int, mods []*Module, scratch []float64) float64 {
-	c := e.A.Circuit
-	arrival := scratch
-	if cap(arrival) < c.NumGates() {
-		//lint:ignore hotalloc fallback when the caller provides no (or an undersized) pooled buffer
-		arrival = make([]float64, c.NumGates())
-	} else {
-		arrival = arrival[:c.NumGates()]
-		for i := range arrival {
-			arrival[i] = 0
-		}
-	}
-	var worst float64
-	var levels []int
-	if mods != nil {
-		levels = c.Levels()
-	}
-	for _, id := range c.TopoOrder() {
-		g := &c.Gates[id]
-		if g.Type == circuit.Input {
-			arrival[id] = 0
+	sc := e.getScratch()
+	buf := sc.arrival
+	copy(buf, e.nominal)
+	for mi, m := range mods {
+		if m == nil {
 			continue
 		}
-		var in float64
-		for _, f := range g.Fanin {
-			if arrival[f] > in {
-				in = arrival[f]
+		for i, g := range m.Gates {
+			if moduleOf[g] == mi {
+				buf[e.pos[g]] = m.Delay[i]
 			}
-		}
-		d := e.A.Delay[id]
-		if mods != nil {
-			mi := moduleOf[id]
-			if mi >= 0 && mi < len(mods) && mods[mi] != nil {
-				m := mods[mi]
-				// Activity at the critical transition's grid time.
-				n := 1
-				if t := levels[id]; t < len(m.Activity) && m.Activity[t] > 1 {
-					n = m.Activity[t]
-				}
-				d *= must(electrical.DelayDegradation(n, m.Rs, e.A.Rg[id], e.A.Delay[id], m.Cs))
-			}
-		}
-		arrival[id] = in + d
-		if arrival[id] > worst {
-			worst = arrival[id]
 		}
 	}
+	// Turn the delays into arrival times in place: each gate arrives at
+	// the latest of its fanins plus its own delay. Fanins sit at lower
+	// positions, so they are final when read.
+	var worst float64
+	lo := e.faninOff[0]
+	for p, hi := range e.faninOff[1:] {
+		var in float64
+		for _, f := range e.fanin[lo:hi] {
+			if v := buf[f]; v > in {
+				in = v
+			}
+		}
+		lo = hi
+		a := in + buf[p]
+		buf[p] = a
+		if a > worst {
+			worst = a
+		}
+	}
+	e.scratch.Put(sc)
 	return worst
 }
 

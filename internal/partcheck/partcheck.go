@@ -320,6 +320,11 @@ func checkModule(e *estimate.Estimator, mi int, gates []int, lim Limits, r *Repo
 // is exact in the model: any drift means the cached estimates no longer
 // describe the module they claim to.
 func CompareEstimate(e *estimate.Estimator, mi int, got *estimate.Module) []Violation {
+	return compareEstimate(e, mi, got, e.EvalModule(got.Gates))
+}
+
+// compareEstimate is CompareEstimate against a given fresh evaluation.
+func compareEstimate(e *estimate.Estimator, mi int, got, fresh *estimate.Module) []Violation {
 	var out []Violation
 	bad := func(constraint, format string, args ...interface{}) {
 		out = append(out, Violation{
@@ -334,7 +339,6 @@ func CompareEstimate(e *estimate.Estimator, mi int, got *estimate.Module) []Viol
 				got.Rs*got.IDDMax, e.P.RailLimit, rel)
 		}
 	}
-	fresh := e.EvalModule(got.Gates)
 	cmp := func(name string, gotV, want float64) {
 		if !closeTo(gotV, want) {
 			bad(ConstraintStaleEstimate, "%s = %.6g, recomputed %.6g", name, gotV, want)
@@ -347,6 +351,18 @@ func CompareEstimate(e *estimate.Estimator, mi int, got *estimate.Module) []Viol
 	cmp("Δ(τ)", got.Settle, fresh.Settle)
 	if !slices.Equal(got.Activity, fresh.Activity) {
 		bad(ConstraintStaleEstimate, "activity n(t) = %v, recomputed %v", got.Activity, fresh.Activity)
+	}
+	// The degraded delays feed D_BIC directly, so they must match to the
+	// bit, not within float noise.
+	if len(got.Delay) != len(fresh.Delay) {
+		bad(ConstraintStaleEstimate, "%d degraded gate delays, recomputed %d", len(got.Delay), len(fresh.Delay))
+	} else {
+		for i, d := range fresh.Delay {
+			if math.Float64bits(got.Delay[i]) != math.Float64bits(d) {
+				bad(ConstraintStaleEstimate, "degraded delay of gate %d = %x, recomputed %x", fresh.Gates[i], got.Delay[i], d)
+				break
+			}
+		}
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package partcheck
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -290,5 +292,46 @@ func TestVerifyPartitionDetectsStaleSeparation(t *testing.T) {
 	}
 	if stale != p.NumModules() {
 		t.Errorf("stale S(M) in %d of %d modules reported:\n%s", stale, p.NumModules(), r)
+	}
+}
+
+func TestCompareEstimateDetectsTamperedDelay(t *testing.T) {
+	c, e := c17Estimator(t)
+	m := e.EvalModule(ids(t, c, "g1", "g3", "g5"))
+	tampered := *m
+	tampered.Delay = slices.Clone(m.Delay)
+	tampered.Delay[1] = math.Nextafter(tampered.Delay[1], math.Inf(1)) // one ulp: only an exact check sees it
+	vs := CompareEstimate(e, 0, &tampered)
+	if len(vs) != 1 || vs[0].Constraint != ConstraintStaleEstimate || !strings.Contains(vs[0].Detail, "degraded delay of gate") {
+		t.Errorf("tampered delay: got %v, want one stale delay violation", vs)
+	}
+	tampered.Delay = m.Delay[:2]
+	vs = CompareEstimate(e, 0, &tampered)
+	if len(vs) != 1 || vs[0].Constraint != ConstraintStaleEstimate || !strings.Contains(vs[0].Detail, "degraded gate delays") {
+		t.Errorf("truncated delays: got %v, want one stale delay-count violation", vs)
+	}
+}
+
+func TestVerifyPartitionDetectsStaleBICDelay(t *testing.T) {
+	c, e := c17Estimator(t)
+	p, err := partition.New(e, [][]int{
+		ids(t, c, "g1", "g3", "g5"),
+		ids(t, c, "g2", "g4", "g6"),
+	}, partition.PaperWeights(), partition.DefaultConstraints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cost the partition while one cached delay is inflated far past the
+	// critical path, then restore it: every cached estimate is current
+	// again, but the cached D_BIC still carries the inflated delay.
+	m := p.ModuleEstimate(0)
+	orig := m.Delay[0]
+	m.Delay[0] *= 1e3
+	p.Costs()
+	m.Delay[0] = orig
+	r := VerifyPartition(p, StructureOnly())
+	if len(r.Violations) != 1 || r.Violations[0].Constraint != ConstraintStaleEstimate ||
+		!strings.Contains(r.Violations[0].Detail, "D_BIC") {
+		t.Errorf("stale D_BIC: got\n%s\nwant one stale D_BIC violation", r)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"iddqsyn/internal/circuit"
 	"iddqsyn/internal/circuits"
 	"iddqsyn/internal/estimate"
+	"iddqsyn/internal/estimate/estimatetest"
 	"iddqsyn/internal/partcheck"
 	"iddqsyn/internal/partition"
 	"iddqsyn/internal/standard"
@@ -62,7 +63,8 @@ const maxFuzzMoves = 40
 // a chain start partition and, after every move, checks the partition's
 // incrementally kept state against from-scratch oracles: every module's
 // S(M) against SeparationModule, every cached estimate against
-// partcheck.CompareEstimate, and the cost vector's bits against a fresh
+// partcheck.CompareEstimate, D_BIC against the per-gate reference
+// longest-path pass, and the cost vector's bits against a fresh
 // partition.New over the same groups. Each byte of ops picks one move:
 //
 //	0: a boundary gate to a connected module (the §4.2 mutation)
@@ -188,6 +190,21 @@ func checkAgainstOracles(t *testing.T, p *partition.Partition, step int) {
 		if vs := partcheck.CompareEstimate(p.E, mi, p.ModuleEstimate(mi)); len(vs) != 0 {
 			t.Fatalf("step %d: %v", step, vs)
 		}
+	}
+	moduleOf := make([]int, p.E.A.Circuit.NumGates())
+	for g := range moduleOf {
+		moduleOf[g] = p.ModuleOf(g)
+	}
+	mods := make([]*estimate.Module, p.NumModules())
+	for mi := range mods {
+		mods[mi] = p.ModuleEstimate(mi)
+	}
+	want, err := estimatetest.LongestPath(p.E, moduleOf, mods)
+	if err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
+	if got := p.Costs().DBIc; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("step %d: D_BIC = %x, reference %x", step, got, want)
 	}
 	fresh, err := partition.New(p.E, p.Groups(), p.W, p.Cons)
 	if err != nil {

@@ -12,11 +12,12 @@
 // The representation is mutable and incremental, so the evolution
 // algorithm of §4 can evaluate descendants cheaply ("costs are recomputed
 // just for the modified modules"). Moving gates invalidates only the
-// touched modules' electrical estimates. The separation S(M) is kept per
-// module and never invalidated: a single-gate move updates both touched
-// modules' S by the moved gate's closeness to them (one ρ-bounded BFS
-// around the gate), and a multi-gate move rescans the two modules. The
-// descendant loop clones and discards thousands of partitions per
+// touched modules' electrical estimates, degraded gate delays included,
+// and D_BIC is re-derived from the cached delays. The separation S(M) is
+// kept per module and never invalidated: a single-gate move updates both
+// touched modules' S by the moved gate's closeness to them (one
+// ρ-bounded BFS around the gate), and a multi-gate move rescans the two
+// modules. The descendant loop clones and discards thousands of partitions per
 // generation, so the module representation is allocation-lean: each
 // module's gate set is a sorted int slice that is immutable once built
 // (MoveGates replaces the touched modules' slices instead of editing
@@ -380,23 +381,23 @@ func (p *Partition) WorstDiscriminability() float64 {
 	return worst
 }
 
-// costScratch holds the transient buffers of one Costs evaluation. The
-// descendant loop evaluates thousands of partitions per generation on a
-// worker pool, so the buffers are pooled instead of allocated per call;
-// nothing in them survives the call (the module pointers are cleared
+// costScratch holds the transient module list of one Costs evaluation.
+// The descendant loop evaluates thousands of partitions per generation on
+// a worker pool, so the list is pooled instead of allocated per call;
+// nothing in it survives the call (the module pointers are cleared
 // before the scratch is returned).
 type costScratch struct {
-	mods    []*estimate.Module
-	arrival []float64
+	mods []*estimate.Module
 }
 
 var costScratchPool = sync.Pool{New: func() interface{} { return new(costScratch) }}
 
 // Costs evaluates the full cost vector, recomputing only invalidated
-// modules. The logarithmic terms use log(1+x) so that degenerate
-// partitions (all singleton modules have S = 0) stay finite; the paper's
-// log(x) is undefined there and identical in shape everywhere else that
-// matters.
+// modules: their estimates carry the degraded gate delays, so D_BIC is
+// one flat arrival pass over cached figures. The logarithmic terms use
+// log(1+x) so that degenerate partitions (all singleton modules have
+// S = 0) stay finite; the paper's log(x) is undefined there and
+// identical in shape everywhere else that matters.
 func (p *Partition) Costs() CostVector {
 	if p.costValid {
 		return p.cost
@@ -405,10 +406,6 @@ func (p *Partition) Costs() CostVector {
 	if cap(sc.mods) < len(p.modules) {
 		//lint:ignore hotalloc pool miss or module-count growth only; steady-state cost evaluations reuse the pooled buffers
 		sc.mods = make([]*estimate.Module, len(p.modules))
-	}
-	if cap(sc.arrival) < p.E.A.Circuit.NumGates() {
-		//lint:ignore hotalloc pool miss only (see mods above)
-		sc.arrival = make([]float64, p.E.A.Circuit.NumGates())
 	}
 	mods := sc.mods[:len(p.modules)]
 	var areaSum float64
@@ -419,7 +416,7 @@ func (p *Partition) Costs() CostVector {
 		areaSum += m.SensorArea
 		sepSum += ms.sep
 	}
-	dBIC := p.E.BICDelayScratch(p.moduleOf, mods, sc.arrival[:cap(sc.arrival)])
+	dBIC := p.E.BICDelay(p.moduleOf, mods)
 	cv := CostVector{
 		LogArea:       math.Log1p(areaSum),
 		DelayOverhead: p.E.DelayOverhead(dBIC),

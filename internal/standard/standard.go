@@ -8,6 +8,7 @@ package standard
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"iddqsyn/internal/circuit"
@@ -121,7 +122,7 @@ func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) 
 		return order[i] < order[j]
 	})
 
-	adj := freeNeighbours{stamp: make([]int32, c.NumGates())}
+	front := frontier{on: make([]bool, c.NumGates())}
 	var nexts []int
 	var groups [][]int
 	for _, start := range order {
@@ -130,6 +131,8 @@ func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) 
 		}
 		module := []int{start}
 		free[start] = false
+		front.reset()
+		front.join(c, start, free)
 		cur := start
 		for len(module) < maxModuleSize {
 			nexts = nexts[:0]
@@ -140,18 +143,20 @@ func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) 
 					}
 				}
 			}
-			if len(nexts) == 0 {
+			cands := nexts
+			if len(cands) == 0 {
 				// Chain ended (primary output or no free successor):
 				// restart from a free gate adjacent to the module so the
 				// module stays connected.
-				nexts = adj.of(c, module, free, nexts)
-				if len(nexts) == 0 {
+				cands = front.gates
+				if len(cands) == 0 {
 					break
 				}
 			}
-			cur = nexts[rng.Intn(len(nexts))]
+			cur = cands[rng.Intn(len(cands))]
 			free[cur] = false
 			module = append(module, cur)
+			front.join(c, cur, free)
 		}
 		sort.Ints(module)
 		groups = append(groups, module)
@@ -159,28 +164,37 @@ func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) 
 	return groups
 }
 
-// freeNeighbours lists the free gates directly connected to a module. Its
-// visited set is an epoch-stamped array: a gate was seen by the current
-// scan iff its stamp equals epoch, so nothing is cleared between scans.
-type freeNeighbours struct {
-	stamp []int32
-	epoch int32
+// frontier is the set of free gates directly connected to the module
+// being grown, kept ascending as gates join so that a chain restart draws
+// from it without a rescan or a sort.
+type frontier struct {
+	gates []int  // ascending
+	on    []bool // per gate ID: in gates
 }
 
-// of appends the free neighbours of module to out (which must be empty)
-// and returns them sorted, so the rng draw over them is deterministic.
-func (s *freeNeighbours) of(c *circuit.Circuit, module []int, free []bool, out []int) []int {
-	s.epoch++
-	for _, g := range module {
-		for _, nb := range c.Neighbors(g) {
-			if free[nb] && s.stamp[nb] != s.epoch {
-				s.stamp[nb] = s.epoch
-				out = append(out, nb)
-			}
+// join updates the frontier for gate g having joined the module (and so
+// no longer being free): g leaves it, g's free neighbours enter it.
+func (f *frontier) join(c *circuit.Circuit, g int, free []bool) {
+	if f.on[g] {
+		i, _ := slices.BinarySearch(f.gates, g)
+		f.gates = slices.Delete(f.gates, i, i+1)
+		f.on[g] = false
+	}
+	for _, nb := range c.Neighbors(g) {
+		if free[nb] && !f.on[nb] {
+			f.on[nb] = true
+			i, _ := slices.BinarySearch(f.gates, nb)
+			f.gates = slices.Insert(f.gates, i, nb)
 		}
 	}
-	sort.Ints(out)
-	return out
+}
+
+// reset empties the frontier for the next module.
+func (f *frontier) reset() {
+	for _, g := range f.gates {
+		f.on[g] = false
+	}
+	f.gates = f.gates[:0]
 }
 
 // StandardPartition implements the §5 baseline: "the process starts with

@@ -11,7 +11,8 @@
 # c1908 and at a seeded 20k-gate random-logic circuit, and the one-move
 # re-cost step BenchmarkIncrementalCost (L2: clone, one single-gate move,
 # Costs on c1908) beside BenchmarkFullRecomputeCost (the same move
-# re-costed by a fresh partition.New) —
+# re-costed by a fresh partition.New) and BenchmarkIncrementalCost_20k
+# (the L2 step on the 20k circuit's chain start partition) —
 # and render the results as BENCH_<n>.json so every PR leaves a
 # comparable perf point on disk (ROADMAP item: the BENCH_*.json
 # trajectory).
@@ -22,11 +23,11 @@
 # trajectory tracks what a client feels, not only what the optimizer
 # costs per op.
 #
-# BENCH_PR sets <n> (default 13); BENCH_OUT overrides the output path.
+# BENCH_PR sets <n> (default 14); BENCH_OUT overrides the output path.
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCH_PR="${BENCH_PR:-13}"
+BENCH_PR="${BENCH_PR:-14}"
 BENCH_OUT="${BENCH_OUT:-BENCH_${BENCH_PR}.json}"
 raw="$(mktemp /tmp/iddqsyn-bench.XXXXXX)"
 sum="$(mktemp /tmp/iddqsyn-bench-lat.XXXXXX)"
@@ -35,10 +36,11 @@ trap 'rm -f "$raw" "$sum"' EXIT INT TERM
 echo "== go test -bench (serving layer + optimizer) -> $BENCH_OUT"
 go test -run '^$' -bench '^BenchmarkServeSubmit$|^BenchmarkServeSubmitCached$|^BenchmarkJournalAppend$' \
     -benchmem -benchtime 50x ./internal/serve/ | tee "$raw"
-go test -run '^$' -bench '^BenchmarkEvolve$|^BenchmarkEstimateNew_|^BenchmarkChainStartPartition_' \
+go test -run '^$' -bench '^BenchmarkEvolve$|^Benchmark(EstimateNew|ChainStartPartition)_(C1908|20k)$' \
     -benchmem -benchtime 3x . | tee -a "$raw"
 go test -run '^$' -bench '^BenchmarkIncrementalCost$|^BenchmarkFullRecomputeCost$' \
     -benchmem -benchtime 1000x . | tee -a "$raw"
+go test -run '^$' -bench '^BenchmarkIncrementalCost_20k$' -benchmem -benchtime 200x . | tee -a "$raw"
 go test -run '^$' -bench '^BenchmarkLintRepo$' -benchmem -benchtime 3x ./internal/lint/ | tee -a "$raw"
 
 echo "== iddqload smoke (serve e2e latency percentiles)"
