@@ -93,7 +93,7 @@ func run() (code int, retErr error) {
 	rail := flag.Float64("rail", 0.2, "maximum virtual-rail perturbation r*, volts")
 	gens := flag.Int("gens", 0, "override evolution generation budget")
 	seed := flag.Int64("seed", 1, "evolution seed")
-	workers := flag.Int("workers", 0, "parallel cost-evaluation workers (0/1 = sequential)")
+	workers := flag.Int("workers", 0, "parallel cost-evaluation workers (0 = one per CPU, 1 = sequential)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget; on expiry the best-so-far design is reported (0 = none)")
 	ckptPath := flag.String("checkpoint", "", "write crash-safe optimizer checkpoints to this file")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in generations (0 = default)")

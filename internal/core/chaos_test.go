@@ -2,12 +2,15 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"iddqsyn/internal/chaos"
 	"iddqsyn/internal/circuit"
 	"iddqsyn/internal/circuits"
+	"iddqsyn/internal/electrical"
 	"iddqsyn/internal/evolution"
 	"iddqsyn/internal/obs"
 	"iddqsyn/internal/partcheck"
@@ -144,5 +147,60 @@ func TestPoisonedEstimatorDegrades(t *testing.T) {
 	}
 	if res.Degraded {
 		t.Fatal("one-shot NaN should be absorbed by the retry, not degrade the run")
+	}
+}
+
+// TestPoisonedStartPopulationIsContained poisons the estimator while the
+// start population is built on two workers: the first module estimate,
+// which a pool goroutine computes for a start's first cost, turns NaN.
+// The panic must come back as a named error with its ErrNonFinite chain,
+// no pool goroutine may outlive the synthesis, and with Degrade set the
+// synthesis must still fall back to standard partitioning.
+func TestPoisonedStartPopulationIsContained(t *testing.T) {
+	prm := chaosParams()
+	prm.Workers = 2
+	before := runtime.NumGoroutine()
+	_, err := Synthesize(chaosCircuit(t), Options{
+		Evolution:  prm,
+		ModuleSize: 8,
+		Chaos:      chaos.New(mustSchedule(t, "seed=1,after=1,sites=estimate.nan"), nil),
+	})
+	if !errors.Is(err, electrical.ErrNonFinite) {
+		t.Fatalf("poisoned start population: got %v, want an error wrapping electrical.ErrNonFinite", err)
+	}
+	if !strings.Contains(err.Error(), "start partition") {
+		t.Errorf("error %q should name the start partition it came from", err)
+	}
+	// A joined worker may still be on its way out after wg.Done; a leaked
+	// one never leaves.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the synthesis (%d before it)", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Attempt 1 fails on the poisoned estimate, attempt 2 on a worker
+	// panic in its first evaluation; both faults are then spent, so the
+	// fallback's audit sees a clean estimator.
+	o := obs.New("start-poison", nil, nil)
+	res, err := Synthesize(chaosCircuit(t), Options{
+		Evolution:  prm,
+		ModuleSize: 8,
+		Obs:        o,
+		Chaos:      chaos.New(mustSchedule(t, "seed=1,after=1,sites=estimate.nan|evolution.worker.panic"), nil),
+		Degrade:    true,
+	})
+	if err != nil {
+		t.Fatalf("Synthesize with Degrade: %v", err)
+	}
+	if !res.Degraded || res.Evolution != nil {
+		t.Fatalf("both attempts failed with Degrade set: Degraded = %v, want a standard fallback", res.Degraded)
+	}
+	if fails := o.Counter(MetricOptimizerFailures).Value(); fails != 2 {
+		t.Errorf("optimizer failures = %d, want 2", fails)
+	}
+	if r := partcheck.VerifyPartition(res.Partition, partcheck.StructureOnly()); !r.OK() {
+		t.Fatalf("degraded partition fails the static audit: %v", r.Err())
 	}
 }

@@ -15,7 +15,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"iddqsyn/internal/bic"
@@ -361,18 +360,9 @@ func runEvolution(ctx context.Context, c *circuit.Circuit, e *estimate.Estimator
 	if size <= 0 {
 		size = standard.EstimateModuleSize(e, w, cons)
 	}
-	rng := rand.New(rand.NewSource(eprm.Seed))
-	starts := make([]*partition.Partition, 0, eprm.Mu)
-	// Deliberately not cancellable: a cancelled synthesis still
-	// returns the best-so-far design, which requires the start
-	// population to exist (see SynthesizeContext's contract).
-	//lint:ignore ctxloop cancellation is handled at generation boundaries; aborting here would break the best-so-far contract
-	for i := 0; i < eprm.Mu; i++ {
-		p, perr := partition.New(e, standard.ChainStartPartition(c, size, rng), w, cons)
-		if perr != nil {
-			return nil, fmt.Errorf("core: start partition: %w", perr)
-		}
-		starts = append(starts, p)
+	starts, err := evolution.StartPopulation(e, size, w, cons, eprm)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	er, err = evolution.OptimizeControlled(ctx, starts, eprm, opt.Trace, ctl)
 	if err != nil {

@@ -191,42 +191,10 @@ func (s *state) run(ctx context.Context, trace Trace, ctl *Control) (*Result, er
 		if s.obs.on {
 			genStart = time.Now()
 		}
-		// Mutation is sequential (single deterministic rand stream);
-		// the cost evaluations below may run on a worker pool. The
-		// evaluate trace span covers both — descendant construction and
-		// the parallel cost evaluations are one causal phase.
+		// The evaluate trace span covers descendant construction and the
+		// cost evaluations, which overlap: one causal phase.
 		evalTsp := s.tsp.StartChild("evolution.evaluate")
-		descendants := make([]*individual, 0, len(s.pop)*(s.prm.Lambda+s.prm.Chi))
-		for _, parent := range s.pop {
-			for l := 0; l < s.prm.Lambda; l++ {
-				s.obs.mutAttempts.Inc()
-				child := parent.p.Clone() // recombination = duplication (§4.1)
-				moved := mutate(child, parent.m, s.rng, &s.mv)
-				if !moved {
-					continue
-				}
-				s.obs.mutApplied.Inc()
-				descendants = append(descendants, &individual{
-					p: child, m: adaptStep(parent.m, s.prm.Epsilon, s.rng),
-					origin: originMutation,
-				})
-			}
-			for x := 0; x < s.prm.Chi; x++ {
-				s.obs.mcAttempts.Inc()
-				child := parent.p.Clone()
-				moved := monteCarlo(child, s.rng, &s.mv)
-				if !moved {
-					continue
-				}
-				s.obs.mcApplied.Inc()
-				descendants = append(descendants, &individual{
-					p: child, m: adaptStep(parent.m, s.prm.Epsilon, s.rng),
-					origin: originMonteCarlo,
-				})
-			}
-			parent.age++
-		}
-		evalErr := evaluate(descendants, s.prm.Workers, costOf, s.obs.evalSeconds, s.chaos)
+		descendants, evalErr := s.breed()
 		evalTsp.End()
 		if evalErr != nil {
 			return nil, evalErr
@@ -292,6 +260,42 @@ func (s *state) run(ctx context.Context, trace Trace, ctl *Control) (*Result, er
 	return s.res, nil
 }
 
+// breed builds one generation's descendants and evaluates their costs.
+// Mutation is sequential (one deterministic rand stream); each descendant
+// goes to the evaluation pool as soon as it exists, so the pool works
+// while the next one is mutated.
+func (s *state) breed() ([]*individual, error) {
+	n := len(s.pop) * (s.prm.Lambda + s.prm.Chi)
+	eval := newEvalPool(s.prm.workers(), n, s.obs.evalSeconds, s.chaos)
+	defer eval.wait() // joins the workers even if mutation panics
+	descendants := make([]*individual, 0, n)
+	add := func(child *partition.Partition, parent *individual, origin uint8) {
+		ind := &individual{p: child, m: adaptStep(parent.m, s.prm.Epsilon, s.rng), origin: origin}
+		eval.submit(evalJob{len(descendants), ind})
+		descendants = append(descendants, ind)
+	}
+	for _, parent := range s.pop {
+		for l := 0; l < s.prm.Lambda; l++ {
+			s.obs.mutAttempts.Inc()
+			child := parent.p.Clone() // recombination = duplication (§4.1)
+			if mutate(child, parent.m, s.rng, &s.mv) {
+				s.obs.mutApplied.Inc()
+				add(child, parent, originMutation)
+			}
+		}
+		for x := 0; x < s.prm.Chi; x++ {
+			s.obs.mcAttempts.Inc()
+			child := parent.p.Clone()
+			if monteCarlo(child, s.rng, &s.mv) {
+				s.obs.mcApplied.Inc()
+				add(child, parent, originMonteCarlo)
+			}
+		}
+		parent.age++
+	}
+	return descendants, eval.wait()
+}
+
 // writeCheckpoint persists the current state (with the metrics snapshot
 // embedded) and records the write in the telemetry.
 func (s *state) writeCheckpoint(path string) error {
@@ -334,95 +338,127 @@ func (s *state) interrupt(ctxErr error, ctl *Control) (*Result, error) {
 // surfaces as an error instead of crashing the process.
 var testEvalHook func(i int, p *partition.Partition)
 
-// evaluate fills in the cost of every descendant, using up to `workers`
-// goroutines. Each descendant is an independent clone and cost is pure,
-// so the parallel evaluation is race-free and bit-identical to the
-// sequential one. A panic inside a cost evaluation (however it is
-// provoked — corrupted state, a bug in an estimator, an injected fault)
-// is recovered and returned as an error naming the offending descendant;
-// when the panic value is itself an error (the estimator's numeric guards
-// panic with wrapped errors) it is wrapped rather than stringified, so
-// errors.Is sees through the recover boundary. A cost that comes back
-// NaN/Inf without panicking is likewise an error (ErrNonFiniteCost): a
-// poisoned number must never enter selection or a checkpoint. The
-// remaining workers drain and exit cleanly. A non-nil hist receives the
-// per-descendant evaluation latency in seconds; a non-nil inj probes the
-// chaos sites evolution.worker.panic / evolution.worker.delay before each
-// evaluation.
+// pool runs jobs on up to `workers` goroutines while its caller is still
+// submitting them, so a sequential producer — mutation or chain drawing
+// on the run's one rand stream — overlaps the parallel work. With one
+// worker, submit runs each job in the caller's goroutine. After a job
+// fails the remaining ones are skipped; wait joins every worker and
+// returns the first failure. A job must recover its own panics.
+type pool[T any] struct {
+	run    func(T) error
+	jobs   chan T // nil when sequential, and after wait
+	wg     sync.WaitGroup
+	failed atomic.Bool
+	mu     sync.Mutex
+	err    error // the first failure; guarded by mu
+}
+
+// newPool starts the workers for at most n jobs.
+func newPool[T any](workers, n int, run func(T) error) *pool[T] {
+	//lint:ignore hotalloc one pool per evaluated batch, amortized over its jobs
+	p := &pool[T]{run: run}
+	if workers = min(workers, n); workers <= 1 {
+		return p
+	}
+	//lint:ignore hotalloc one channel per evaluated batch, amortized over its jobs
+	jobs := make(chan T, n) // one slot per job: submitting never waits for a worker
+	p.jobs = jobs
+	for w := 0; w < workers; w++ {
+		p.wg.Add(1)
+		//lint:ignore hotalloc one worker closure per worker and batch, amortized over its jobs
+		go func() {
+			defer p.wg.Done()
+			for j := range jobs {
+				p.do(j)
+			}
+		}()
+	}
+	return p
+}
+
+func (p *pool[T]) do(j T) {
+	if p.failed.Load() {
+		return
+	}
+	if err := p.run(j); err != nil {
+		p.failed.Store(true)
+		p.mu.Lock()
+		if p.err == nil {
+			p.err = err
+		}
+		p.mu.Unlock()
+	}
+}
+
+// submit hands one job to the workers, or runs it when sequential.
+func (p *pool[T]) submit(j T) {
+	if p.jobs == nil {
+		p.do(j)
+		return
+	}
+	p.jobs <- j
+}
+
+// wait closes the pool to new jobs, joins its workers and returns the
+// first failure. It is idempotent, so a deferred wait joins the workers
+// even when the producer panics.
+func (p *pool[T]) wait() error {
+	if p.jobs != nil {
+		close(p.jobs)
+		p.jobs = nil
+		p.wg.Wait()
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.err
+}
+
+// evalJob is one cost evaluation: the individual and its index in the
+// batch, for error messages.
+type evalJob struct {
+	i   int
+	ind *individual
+}
+
+// newEvalPool returns a pool that fills in the cost (costOf) of each
+// submitted individual, on up to `workers` goroutines for a batch of at
+// most n.
+// Each individual is an independent clone and cost is pure, so the
+// parallel evaluation is race-free and bit-identical to the sequential
+// one. A panic inside a cost evaluation (however it is provoked —
+// corrupted state, a bug in an estimator, an injected fault) is recovered
+// and returned as an error naming the offending individual, its chain
+// intact (see panicError). A cost that comes back NaN/Inf without
+// panicking is likewise an error (ErrNonFiniteCost): a poisoned number
+// must never enter selection or a checkpoint. A non-nil hist receives
+// the per-individual evaluation latency in seconds; a non-nil inj probes
+// the chaos sites evolution.worker.panic / evolution.worker.delay before
+// each evaluation.
 //
-//lint:hotpath descendant evaluation loop — every cost evaluation of a run flows through here
-func evaluate(descendants []*individual, workers int, cost func(*partition.Partition) float64, hist *obs.Histogram, inj *chaos.Injector) error {
-	//lint:ignore hotalloc one closure per evaluate call, amortized over the λ descendants it evaluates
-	eval := func(i int) (err error) {
+//lint:hotpath descendant evaluation — every cost evaluation of a run flows through here
+func newEvalPool(workers, n int, hist *obs.Histogram, inj *chaos.Injector) *pool[evalJob] {
+	//lint:ignore hotalloc one closure per evaluated batch, amortized over the λ descendants it evaluates
+	return newPool(workers, n, func(j evalJob) (err error) {
 		//lint:ignore hotalloc one deferred recover guard per descendant; the panic boundary is the point of the worker
 		defer func() {
 			if r := recover(); r != nil {
-				if perr, ok := r.(error); ok {
-					err = fmt.Errorf("evolution: cost evaluation of descendant %d/%d panicked: %w",
-						i, len(descendants), perr)
-				} else {
-					err = fmt.Errorf("evolution: cost evaluation of descendant %d/%d panicked: %v",
-						i, len(descendants), r)
-				}
+				err = panicError(r, "evolution: cost evaluation of descendant", j.i)
 			}
 		}()
 		if testEvalHook != nil {
-			testEvalHook(i, descendants[i].p)
+			testEvalHook(j.i, j.ind.p)
 		}
 		inj.MustPass(chaos.SiteEvalPanic)
 		inj.Sleep(chaos.SiteEvalDelay)
 		if hist != nil {
 			defer hist.ObserveSince(time.Now())
 		}
-		c := cost(descendants[i].p)
+		c := costOf(j.ind.p)
 		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return fmt.Errorf("evolution: descendant %d/%d cost is %g: %w",
-				i, len(descendants), c, partition.ErrNonFiniteCost)
+			return fmt.Errorf("evolution: descendant %d cost is %g: %w",
+				j.i, c, partition.ErrNonFiniteCost)
 		}
-		descendants[i].cost = c
+		j.ind.cost = c
 		return nil
-	}
-
-	if workers <= 1 || len(descendants) < 2 {
-		for i := range descendants {
-			if err := eval(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > len(descendants) {
-		workers = len(descendants)
-	}
-	var (
-		wg       sync.WaitGroup
-		next     int64 = -1
-		failed   atomic.Bool
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//lint:ignore hotalloc one worker closure per evaluate call, amortized over the λ evaluations it runs
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(descendants) || failed.Load() {
-					return
-				}
-				if err := eval(i); err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	})
 }

@@ -102,8 +102,8 @@ func TestPreCancelledContext(t *testing.T) {
 // final cost, partition and bookkeeping of a run that was never
 // interrupted — for sequential and parallel cost evaluation alike.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		t.Run(map[int]string{0: "sequential", 4: "workers4"}[workers], func(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(map[int]string{1: "sequential", 4: "workers4"}[workers], func(t *testing.T) {
 			env, prm := controlSetup(t)
 			prm.Workers = workers
 
@@ -293,8 +293,8 @@ func TestResumeRejectsWrongCircuit(t *testing.T) {
 }
 
 func TestWorkerPanicSurfacesAsError(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		t.Run(map[int]string{0: "sequential", 4: "workers4"}[workers], func(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(map[int]string{1: "sequential", 4: "workers4"}[workers], func(t *testing.T) {
 			env, prm := controlSetup(t)
 			prm.Workers = workers
 			var calls atomic.Int64

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 
 	"iddqsyn/internal/estimate"
 	"iddqsyn/internal/partition"
@@ -33,11 +34,20 @@ type Params struct {
 
 	Seed int64
 
-	// Workers sets the number of goroutines evaluating descendant costs
-	// in parallel. Mutation stays sequential (one rand stream), so the
-	// result is bit-identical for any worker count. 0 or 1 evaluates
-	// sequentially.
+	// Workers sets the number of goroutines evaluating costs in
+	// parallel: the descendants', and the start population's first. The
+	// rand stream stays on one goroutine (mutation and chain drawing are
+	// sequential), so the result is bit-identical for any worker count.
+	// 0 uses runtime.GOMAXPROCS(0) workers; 1 evaluates sequentially.
 	Workers int
+}
+
+// workers resolves Workers (see there).
+func (p Params) workers() int {
+	if p.Workers == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return p.Workers
 }
 
 // DefaultParams returns a configuration that converges on every benchmark
@@ -134,8 +144,8 @@ const infeasiblePenalty = 1e9
 // costOf grades a partition for selection: the weighted global cost plus
 // the graded infeasibility penalty. It is pure (no shared state), so
 // descendants can be evaluated on a worker pool. It is annotated as a hot
-// root directly (not just via evaluate) because evaluate receives it as a
-// function value, an indirect call the static call graph cannot resolve.
+// root directly (not just via newEvalPool) because the pool runs its jobs
+// as function values, indirect calls the static call graph cannot resolve.
 //
 //lint:hotpath cost of every descendant, λ times per generation — the estimate sweep underneath dominates run time
 func costOf(p *partition.Partition) float64 {
@@ -193,10 +203,13 @@ func OptimizeControlled(ctx context.Context, starts []*partition.Partition, prm 
 		"circuit", starts[0].E.A.Circuit.Name,
 		"mu", prm.Mu, "lambda", prm.Lambda, "chi", prm.Chi,
 		"max_generations", prm.MaxGenerations, "seed", prm.Seed,
-		"workers", prm.Workers)
-	// The initial evaluation runs sequentially (it is μ cheap calls) but
-	// through the same panic-recovering path as the generation loop.
-	if err := evaluate(s.pop, 1, costOf, s.obs.evalSeconds, s.chaos); err != nil {
+		"workers", prm.workers())
+	eval := newEvalPool(prm.workers(), len(s.pop), s.obs.evalSeconds, s.chaos)
+	//lint:ignore ctxloop μ submissions; cancellation is handled at generation boundaries, after this first evaluation
+	for i, ind := range s.pop {
+		eval.submit(evalJob{i, ind})
+	}
+	if err := eval.wait(); err != nil {
 		return nil, err
 	}
 	s.res.Evaluations += len(s.pop)
@@ -336,6 +349,65 @@ func selectBest(pool []*individual, mu int) []*individual {
 	return out
 }
 
+// StartPopulation builds the μ chain-based start partitions of §4.2
+// (module size at most size) and evaluates each one's cost. Chains are
+// drawn in order from one rand stream seeded with prm.Seed, because
+// ChainStartPartition draws a data-dependent number of times; each drawn
+// chain's partition.New and first cost touch no random state, so they run
+// on a pool of prm.Workers goroutines while the next chain is drawn. The
+// result is bit-identical for any worker count. A panic while building a
+// start (a poisoned estimator, say) is returned as an error with its
+// chain intact, and no goroutine outlives the call.
+//
+// Deliberately not cancellable: a cancelled run must still return a
+// best-so-far Result, so the start population has to exist before the
+// generation loop can honour a context at its boundaries.
+func StartPopulation(e *estimate.Estimator, size int, w partition.Weights, cons partition.Constraints, prm Params) ([]*partition.Partition, error) {
+	if err := prm.validate(); err != nil {
+		return nil, err
+	}
+	c := e.A.Circuit
+	rng := rand.New(rand.NewSource(prm.Seed))
+	starts := make([]*partition.Partition, prm.Mu)
+	type job struct {
+		i      int
+		groups [][]int
+	}
+	build := newPool(prm.workers(), prm.Mu, func(j job) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = panicError(r, "evolution: start partition", j.i)
+			}
+		}()
+		p, err := partition.New(e, j.groups, w, cons)
+		if err != nil {
+			return fmt.Errorf("evolution: start partition %d: %w", j.i, err)
+		}
+		costOf(p) // cached in p: the first evaluation finds it ready
+		starts[j.i] = p
+		return nil
+	})
+	defer build.wait() // joins the workers even if drawing panics
+	for i := range starts {
+		build.submit(job{i, standard.ChainStartPartition(c, size, rng)})
+	}
+	if err := build.wait(); err != nil {
+		return nil, err
+	}
+	return starts, nil
+}
+
+// panicError turns a recovered panic value into an error naming what
+// panicked, item i of a batch. An error value (the estimator's numeric
+// guards panic with wrapped errors) is wrapped rather than stringified,
+// so errors.Is sees through the recover boundary.
+func panicError(r interface{}, what string, i int) error {
+	if perr, ok := r.(error); ok {
+		return fmt.Errorf("%s %d panicked: %w", what, i, perr)
+	}
+	return fmt.Errorf("%s %d panicked: %v", what, i, r)
+}
+
 // Run is the full §4 flow: the module size is estimated with averaged
 // parameters, μ chain-based start partitions are constructed (§4.2), and
 // the evolution cycle optimizes the weighted cost under the constraints.
@@ -350,23 +422,9 @@ func RunContext(ctx context.Context, e *estimate.Estimator, w partition.Weights,
 
 // RunControlled is RunContext with checkpointing (see OptimizeControlled).
 func RunControlled(ctx context.Context, e *estimate.Estimator, w partition.Weights, cons partition.Constraints, prm Params, trace Trace, ctl *Control) (*Result, error) {
-	if err := prm.validate(); err != nil {
+	starts, err := StartPopulation(e, standard.EstimateModuleSize(e, w, cons), w, cons, prm)
+	if err != nil {
 		return nil, err
-	}
-	rng := rand.New(rand.NewSource(prm.Seed))
-	size := standard.EstimateModuleSize(e, w, cons)
-	starts := make([]*partition.Partition, 0, prm.Mu)
-	// Deliberately not cancellable: a cancelled run must still return a
-	// best-so-far Result, so the start population has to exist before the
-	// generation loop can honour ctx at its boundaries.
-	//lint:ignore ctxloop cancellation is handled at generation boundaries; aborting here would break the best-so-far contract
-	for i := 0; i < prm.Mu; i++ {
-		groups := standard.ChainStartPartition(e.A.Circuit, size, rng)
-		p, err := partition.New(e, groups, w, cons)
-		if err != nil {
-			return nil, fmt.Errorf("evolution: start partition %d: %w", i, err)
-		}
-		starts = append(starts, p)
 	}
 	return OptimizeControlled(ctx, starts, prm, trace, ctl)
 }

@@ -334,8 +334,9 @@ func TestInfeasibleStartsRecover(t *testing.T) {
 	}
 }
 
-// Parallel descendant evaluation must be bit-identical to sequential
-// (mutation stays on one rand stream) and race-free.
+// Parallel start-population construction and descendant evaluation must
+// be bit-identical to sequential (chain drawing and mutation stay on one
+// rand stream) and race-free.
 func TestParallelEvaluationMatchesSequential(t *testing.T) {
 	e := estimatorFor(t, circuits.MustISCAS85Like("c432"))
 	w := partition.PaperWeights()
@@ -347,14 +348,9 @@ func TestParallelEvaluationMatchesSequential(t *testing.T) {
 	run := func(workers int) *Result {
 		prm := base
 		prm.Workers = workers
-		rng := rand.New(rand.NewSource(prm.Seed))
-		var starts []*partition.Partition
-		for i := 0; i < prm.Mu; i++ {
-			p, err := partition.New(e, standard.ChainStartPartition(e.A.Circuit, 8, rng), w, cons)
-			if err != nil {
-				t.Fatal(err)
-			}
-			starts = append(starts, p)
+		starts, err := StartPopulation(e, 8, w, cons, prm)
+		if err != nil {
+			t.Fatal(err)
 		}
 		res, err := Optimize(starts, prm, nil)
 		if err != nil {
@@ -362,7 +358,7 @@ func TestParallelEvaluationMatchesSequential(t *testing.T) {
 		}
 		return res
 	}
-	seq := run(0)
+	seq := run(1)
 	par := run(4)
 	if seq.BestCost != par.BestCost || seq.Evaluations != par.Evaluations {
 		t.Errorf("parallel run diverged: %.9g/%d vs %.9g/%d",

@@ -54,17 +54,12 @@ func OptimizerComparison(ctx context.Context, name string, startSize int, eprm e
 	if size <= 0 {
 		size = standard.EstimateModuleSize(e, w, cons)
 	}
-	rng := rand.New(rand.NewSource(eprm.Seed))
-	var starts []*partition.Partition
-	for i := 0; i < eprm.Mu; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p, err := partition.New(e, standard.ChainStartPartition(c, size, rng), w, cons)
-		if err != nil {
-			return nil, err
-		}
-		starts = append(starts, p)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	starts, err := evolution.StartPopulation(e, size, w, cons, eprm)
+	if err != nil {
+		return nil, err
 	}
 	best := starts[0]
 	//lint:ignore ctxloop cached-cost scan over mu individuals, microseconds

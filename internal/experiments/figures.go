@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"iddqsyn/internal/bic"
@@ -14,7 +13,6 @@ import (
 	"iddqsyn/internal/evolution"
 	"iddqsyn/internal/faults"
 	"iddqsyn/internal/partition"
-	"iddqsyn/internal/standard"
 )
 
 // Figure1Result demonstrates the BIC sensor architecture of figure 1: a
@@ -185,17 +183,12 @@ func C17Trace(ctx context.Context, seed int64) (*C17TraceResult, error) {
 		})
 	}
 	size := 3 // two modules of three gates, the example's granularity
-	rng := rand.New(rand.NewSource(seed))
-	var starts []*partition.Partition
-	for i := 0; i < prm.Mu; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p, err := partition.New(e, standard.ChainStartPartition(c, size, rng), w, cons)
-		if err != nil {
-			return nil, err
-		}
-		starts = append(starts, p)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	starts, err := evolution.StartPopulation(e, size, w, cons, prm)
+	if err != nil {
+		return nil, err
 	}
 	er, err := evolution.OptimizeContext(ctx, starts, prm, trace)
 	if err != nil {

@@ -65,7 +65,9 @@ const maxFuzzMoves = 40
 // S(M) against SeparationModule, every cached estimate against
 // partcheck.CompareEstimate, D_BIC against the per-gate reference
 // longest-path pass, and the cost vector's bits against a fresh
-// partition.New over the same groups. Each byte of ops picks one move:
+// partition.New over the same groups. The oracles read a clone, so the
+// partition under test keeps any S(M) a move left stale, and later moves
+// meet it. Each byte of ops picks one move:
 //
 //	0: a boundary gate to a connected module (the §4.2 mutation)
 //	1: any gate to any other module
@@ -73,6 +75,8 @@ const maxFuzzMoves = 40
 //	3: all gates of the smallest module (deletes it)
 //	4: a move on a clone, which must leave the parent untouched; the
 //	   sequence continues on the clone
+//	5: a Monte-Carlo move that leaves both modules' S stale, then single
+//	   gates back and forth between the same two modules
 func FuzzMoveSequence(f *testing.F) {
 	f.Add(uint8(0), int64(1), uint8(6), []byte{0, 1, 2, 3, 4, 0, 0, 1, 2, 4, 3, 0, 2, 1, 0, 4})
 	f.Add(uint8(0), int64(2), uint8(30), []byte{3, 3, 3, 2, 2, 0, 1, 4, 4, 0, 3, 1})
@@ -80,6 +84,11 @@ func FuzzMoveSequence(f *testing.F) {
 	f.Add(uint8(1), int64(4), uint8(2), []byte{3, 0, 4, 1, 3, 2, 0, 0})
 	f.Add(uint8(2), int64(5), uint8(10), []byte{0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 1, 0})
 	f.Add(uint8(2), int64(6), uint8(40), []byte{2, 2, 4, 0, 0, 3, 1})
+	// Stale S(M): single-gate moves after a Monte-Carlo move on the same
+	// modules, and clones taken while S is stale.
+	f.Add(uint8(0), int64(7), uint8(8), []byte{5, 5, 2, 4, 0, 5, 2, 1, 4, 5})
+	f.Add(uint8(1), int64(8), uint8(16), []byte{2, 4, 5, 4, 2, 9, 5, 0})
+	f.Add(uint8(2), int64(9), uint8(24), []byte{5, 2, 4, 1, 5, 2, 14, 5})
 	f.Fuzz(func(t *testing.T, which uint8, seed int64, size uint8, ops []byte) {
 		e := fuzzEstimator(t, int(which)%len(fuzzCircuits))
 		rng := rand.New(rand.NewSource(seed))
@@ -93,15 +102,18 @@ func FuzzMoveSequence(f *testing.F) {
 			if p.NumModules() < 2 {
 				return
 			}
-			if op%5 == 4 {
+			switch op % 6 {
+			case 4:
 				parent, before := p, snapshot(p)
 				p = p.Clone()
-				randomMove(p, op/5, rng)
+				randomMove(p, op/6, rng)
 				if after := snapshot(parent); !slices.Equal(after.cost, before.cost) || !equalGroups(after.groups, before.groups) {
 					t.Fatalf("step %d: a move on a clone changed its parent", step)
 				}
 				checkAgainstOracles(t, parent, step)
-			} else {
+			case 5:
+				staleMoves(t, p, rng, step)
+			default:
 				randomMove(p, op, rng)
 			}
 			checkAgainstOracles(t, p, step)
@@ -154,13 +166,42 @@ func randomMove(p *partition.Partition, op byte, rng *rand.Rand) {
 	}
 }
 
+// staleMoves moves a random proper subset of one module to another,
+// which leaves both modules' S(M) stale, then single gates from the
+// target back to the source and on, checking the oracles after every
+// move. A source with fewer than two gates leaves p unchanged.
+func staleMoves(t *testing.T, p *partition.Partition, rng *rand.Rand, step int) {
+	t.Helper()
+	a := rng.Intn(p.NumModules())
+	if p.ModuleSize(a) < 2 {
+		return
+	}
+	b := (a + 1 + rng.Intn(p.NumModules()-1)) % p.NumModules()
+	gates := p.ModuleGates(a)
+	rng.Shuffle(len(gates), func(i, j int) { gates[i], gates[j] = gates[j], gates[i] })
+	b, err := p.MoveGates(gates[:1+rng.Intn(len(gates)-1)], a, b)
+	if err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
+	checkAgainstOracles(t, p, step)
+	for i := 0; i < 3 && p.ModuleSize(b) > 1; i++ {
+		own := p.ModuleGates(b)
+		if _, err := p.MoveGates(own[rng.Intn(len(own)):][:1], b, a); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		checkAgainstOracles(t, p, step)
+		a, b = b, a
+	}
+}
+
 type partitionSnapshot struct {
 	groups [][]int
 	cost   []uint64
 }
 
+// snapshot reads p through a clone, so p keeps any stale S(M).
 func snapshot(p *partition.Partition) partitionSnapshot {
-	return partitionSnapshot{groups: p.Groups(), cost: costBits(p.Costs())}
+	return partitionSnapshot{groups: p.Groups(), cost: costBits(p.Clone().Costs())}
 }
 
 func costBits(cv partition.CostVector) []uint64 {
@@ -177,9 +218,11 @@ func equalGroups(a, b [][]int) bool {
 }
 
 // checkAgainstOracles fails t unless p's incremental state matches a
-// from-scratch evaluation exactly.
+// from-scratch evaluation exactly. It reads a clone of p: reading S(M)
+// rescans a stale value, and p must keep it stale for the moves to come.
 func checkAgainstOracles(t *testing.T, p *partition.Partition, step int) {
 	t.Helper()
+	p = p.Clone()
 	if err := p.Verify(); err != nil {
 		t.Fatalf("step %d: %v", step, err)
 	}

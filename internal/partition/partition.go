@@ -14,15 +14,18 @@
 // just for the modified modules"). Moving gates invalidates only the
 // touched modules' electrical estimates, degraded gate delays included,
 // and D_BIC is re-derived from the cached delays. The separation S(M) is
-// kept per module and never invalidated: a single-gate move updates both
-// touched modules' S by the moved gate's closeness to them (one
-// ρ-bounded BFS around the gate), and a multi-gate move rescans the two
-// modules. The descendant loop clones and discards thousands of partitions per
-// generation, so the module representation is allocation-lean: each
-// module's gate set is a sorted int slice that is immutable once built
-// (MoveGates replaces the touched modules' slices instead of editing
-// them), which lets Clone share every unmodified slice and every cached
-// estimate copy-on-write style.
+// kept per module: a single-gate move between two modules whose S is
+// current updates both by the moved gate's closeness to them (one
+// ρ-bounded BFS around the gate); any other move marks both touched
+// modules' S stale, and the first read (ModuleSeparation, Costs) rescans
+// it, so the rescan runs where the cost is evaluated, off the
+// optimizers' sequential mutation path. The descendant loop clones and
+// discards thousands of partitions per generation, so the module
+// representation is allocation-lean: the modules are one slice of values,
+// and each module's gate set is a sorted int slice that is immutable once
+// built (MoveGates replaces the touched modules' slices instead of
+// editing them), which lets Clone share every unmodified slice and every
+// cached estimate copy-on-write style.
 package partition
 
 import (
@@ -106,10 +109,13 @@ type moduleState struct {
 	// est caches the estimator output; nil after a move touched this
 	// module. Immutable once computed, so clones share it.
 	est *estimate.Module
-	// sep is S(M) of §3.3, always current: New computes it, MoveGates
-	// keeps it.
+	// sep is S(M) of §3.3, or staleSep after a move that could not keep
+	// it by delta; ModuleSeparation rescans a stale S on first read.
 	sep int
 }
+
+// staleSep marks a module's S(M) for a rescan; a real S is never negative.
+const staleSep = -1
 
 // Partition is a mutable partition of the circuit's logic gates with
 // incremental cost evaluation.
@@ -118,7 +124,7 @@ type Partition struct {
 	W    Weights
 	Cons Constraints
 
-	modules  []*moduleState
+	modules  []moduleState
 	moduleOf []int // gate ID -> module index; -1 for inputs
 
 	costValid bool
@@ -141,7 +147,7 @@ func New(e *estimate.Estimator, groups [][]int, w Weights, cons Constraints) (*P
 		if len(gates) == 0 {
 			return nil, fmt.Errorf("partition: module %d is empty", mi)
 		}
-		ms := &moduleState{gates: make([]int, 0, len(gates))}
+		ms := moduleState{gates: make([]int, 0, len(gates))}
 		for _, g := range gates {
 			if g < 0 || g >= c.NumGates() {
 				return nil, fmt.Errorf("partition: gate %d out of range", g)
@@ -188,8 +194,15 @@ func (p *Partition) ModuleSize(mi int) int { return len(p.modules[mi].gates) }
 // ModuleOf returns the module index of a gate (-1 for primary inputs).
 func (p *Partition) ModuleOf(gate int) int { return p.moduleOf[gate] }
 
-// ModuleSeparation returns S(M) of module mi (§3.3).
-func (p *Partition) ModuleSeparation(mi int) int { return p.modules[mi].sep }
+// ModuleSeparation returns S(M) of module mi (§3.3), rescanning it if a
+// move left it stale.
+func (p *Partition) ModuleSeparation(mi int) int {
+	ms := &p.modules[mi]
+	if ms.sep == staleSep {
+		ms.sep = p.E.SeparationModule(ms.gates)
+	}
+	return ms.sep
+}
 
 // Groups returns the whole partition as gate-ID groups.
 func (p *Partition) Groups() [][]int {
@@ -202,7 +215,7 @@ func (p *Partition) Groups() [][]int {
 
 // ModuleEstimate returns the (cached) estimator output for module mi.
 func (p *Partition) ModuleEstimate(mi int) *estimate.Module {
-	ms := p.modules[mi]
+	ms := &p.modules[mi]
 	if ms.est == nil {
 		ms.est = p.E.EvalModule(ms.gates)
 	}
@@ -215,24 +228,21 @@ func (p *Partition) ModuleEstimate(mi int) *estimate.Module {
 // clone's mutation never reaches its siblings. The descendant loop of the
 // evolution strategy clones every parent λ+χ times per generation, which
 // makes this the optimizer's hottest allocation site — it allocates only
-// the module headers and the gate→module index.
+// the module slice and the gate→module index, whatever K is.
 func (p *Partition) Clone() *Partition {
-	q := &Partition{
+	return &Partition{
 		E: p.E, W: p.W, Cons: p.Cons,
-		modules:   make([]*moduleState, len(p.modules)),
+		modules:   append([]moduleState(nil), p.modules...),
 		moduleOf:  append([]int(nil), p.moduleOf...),
 		costValid: p.costValid,
 		cost:      p.cost,
 	}
-	for i, ms := range p.modules {
-		q.modules[i] = &moduleState{gates: ms.gates, est: ms.est, sep: ms.sep}
-	}
-	return q
 }
 
 // MoveGates moves the given gates from module `from` to module `to`,
-// invalidating both modules' estimates and updating their S(M): by delta
-// when exactly one gate moves, by a rescan otherwise. If `from` empties,
+// invalidating both modules' estimates. Their S(M) is updated by delta
+// when exactly one gate moves and both were current, and marked stale
+// otherwise (see ModuleSeparation). If `from` empties,
 // it is deleted and module indices above it shift down (the §4.2
 // mutation semantics: "if all gates of M are moved, this module is
 // deleted"). It returns the possibly-adjusted index of the target module.
@@ -243,19 +253,24 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	if from < 0 || from >= len(p.modules) || to < 0 || to >= len(p.modules) {
 		return to, fmt.Errorf("partition: module index out of range (%d -> %d)", from, to)
 	}
-	src, dst := p.modules[from], p.modules[to]
+	src, dst := &p.modules[from], &p.modules[to]
 	for _, g := range gates {
 		if p.moduleOf[g] != from {
 			return to, fmt.Errorf("partition: gate %d not in module %d", g, from)
 		}
 	}
-	if len(gates) == 1 {
+	if len(gates) == 1 && src.sep != staleSep && dst.sep != staleSep {
 		// g leaves src∖{g} and joins dst: S changes by g's separation to
 		// each, read off one BFS around g before moduleOf changes.
 		cSrc, cDst := p.E.Closeness(gates[0], p.moduleOf, from, to)
 		rho := p.E.P.Rho
 		src.sep -= rho*(len(src.gates)-1) - cSrc
 		dst.sep += rho*len(dst.gates) - cDst
+	} else {
+		// A multi-gate (Monte-Carlo) move would need a rescan of both
+		// modules; leave it to the first read, which the optimizers make
+		// in their parallel cost evaluation.
+		src.sep, dst.sep = staleSep, staleSep
 	}
 	// Build replacement slices rather than editing in place: the old
 	// slices may be shared with clones and with cached estimate.Module
@@ -282,10 +297,6 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	sort.Ints(newDst)
 	src.gates, src.est = newSrc, nil
 	dst.gates, dst.est = newDst, nil
-	if len(gates) > 1 {
-		src.sep = p.E.SeparationModule(newSrc)
-		dst.sep = p.E.SeparationModule(newDst)
-	}
 	p.costValid = false
 	if len(src.gates) == 0 {
 		p.deleteModule(from)
@@ -410,11 +421,11 @@ func (p *Partition) Costs() CostVector {
 	mods := sc.mods[:len(p.modules)]
 	var areaSum float64
 	sepSum := 0
-	for mi, ms := range p.modules {
+	for mi := range p.modules {
 		m := p.ModuleEstimate(mi)
 		mods[mi] = m
 		areaSum += m.SensorArea
-		sepSum += ms.sep
+		sepSum += p.ModuleSeparation(mi)
 	}
 	dBIC := p.E.BICDelay(p.moduleOf, mods)
 	cv := CostVector{

@@ -57,7 +57,8 @@ type JobSpec struct {
 	Generations int `json:"generations,omitempty"`
 	// Seed seeds the evolution strategy (0 = 1, the CLI default).
 	Seed int64 `json:"seed,omitempty"`
-	// Workers sets parallel cost-evaluation workers (0/1 = sequential).
+	// Workers sets parallel cost-evaluation workers (0 = one per CPU,
+	// 1 = sequential).
 	Workers int `json:"workers,omitempty"`
 	// Discriminability is the required d (0 = 10, the paper's value).
 	Discriminability float64 `json:"discriminability,omitempty"`

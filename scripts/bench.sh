@@ -12,7 +12,10 @@
 # re-cost step BenchmarkIncrementalCost (L2: clone, one single-gate move,
 # Costs on c1908) beside BenchmarkFullRecomputeCost (the same move
 # re-costed by a fresh partition.New) and BenchmarkIncrementalCost_20k
-# (the L2 step on the 20k circuit's chain start partition) —
+# (the L2 step on the 20k circuit's chain start partition), and the L4
+# whole run BenchmarkEvolutionConvergence_C1908 (2888 evaluations) at
+# -cpu 1 and 2, so the sequential and the parallel run sit side by side
+# (rendered as .../cpu1 and .../cpu2) —
 # and render the results as BENCH_<n>.json so every PR leaves a
 # comparable perf point on disk (ROADMAP item: the BENCH_*.json
 # trajectory).
@@ -23,11 +26,11 @@
 # trajectory tracks what a client feels, not only what the optimizer
 # costs per op.
 #
-# BENCH_PR sets <n> (default 14); BENCH_OUT overrides the output path.
+# BENCH_PR sets <n> (default 15); BENCH_OUT overrides the output path.
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCH_PR="${BENCH_PR:-14}"
+BENCH_PR="${BENCH_PR:-15}"
 BENCH_OUT="${BENCH_OUT:-BENCH_${BENCH_PR}.json}"
 raw="$(mktemp /tmp/iddqsyn-bench.XXXXXX)"
 sum="$(mktemp /tmp/iddqsyn-bench-lat.XXXXXX)"
@@ -41,6 +44,7 @@ go test -run '^$' -bench '^BenchmarkEvolve$|^Benchmark(EstimateNew|ChainStartPar
 go test -run '^$' -bench '^BenchmarkIncrementalCost$|^BenchmarkFullRecomputeCost$' \
     -benchmem -benchtime 1000x . | tee -a "$raw"
 go test -run '^$' -bench '^BenchmarkIncrementalCost_20k$' -benchmem -benchtime 200x . | tee -a "$raw"
+go test -run '^$' -bench '^BenchmarkEvolutionConvergence_C1908$' -cpu 1,2 -benchmem -benchtime 3x . | tee -a "$raw"
 go test -run '^$' -bench '^BenchmarkLintRepo$' -benchmem -benchtime 3x ./internal/lint/ | tee -a "$raw"
 
 echo "== iddqload smoke (serve e2e latency percentiles)"
@@ -50,7 +54,13 @@ go run ./cmd/iddqload -inprocess -rate 10 -duration 3s -gens 6 -seed 1 \
 awk -v pr="$BENCH_PR" -v goversion="$(go env GOVERSION)" -v summaryfile="$sum" '
 /^Benchmark/ {
     name = $1
-    sub(/-[0-9]+$/, "", name)
+    procs = 1
+    if (match(name, /-[0-9]+$/)) {
+        procs = substr(name, RSTART + 1)
+        name = substr(name, 1, RSTART - 1)
+    }
+    # Run at several -cpu values: keep the entries apart.
+    if (name ~ /^BenchmarkEvolutionConvergence_/) name = name "/cpu" procs
     iters = $2
     ns = ""; bytes = ""; allocs = ""
     for (i = 3; i < NF; i++) {
