@@ -125,7 +125,7 @@ func benchmarkConvergence(b *testing.B, circuit string) {
 	prm := benchEvolution()
 	var gens, evals int
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Convergence(context.Background(), circuit, prm)
+		res, err := experiments.Convergence(context.Background(), circuit, 0, prm)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -514,7 +514,7 @@ func BenchmarkDiagnosticResolution(b *testing.B) {
 	b.ReportAllocs()
 	c := circuits.MustISCAS85Like("c432")
 	eprm := benchEvolution()
-	res, err := core.Synthesize(c, core.Options{Evolution: &eprm, ModuleSize: 40})
+	res, err := core.SynthesizeContext(context.Background(), c, core.Options{Evolution: &eprm, ModuleSize: 40})
 	if err != nil {
 		b.Fatal(err)
 	}

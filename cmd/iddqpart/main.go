@@ -199,9 +199,9 @@ func run() (code int, retErr error) {
 			sched, sched.MatchedSites())
 	}
 
-	ctx, cancelTimeout := runctl.WithTimeoutObs(context.Background(), *timeout, orun.Obs)
+	ctx, cancelTimeout := runctl.WithTimeout(context.Background(), *timeout, orun.Obs)
 	defer cancelTimeout()
-	ctx, stop := runctl.WithSignalsObs(ctx, os.Stderr, orun.Obs)
+	ctx, stop := runctl.WithSignals(ctx, os.Stderr, orun.Obs)
 	defer stop()
 
 	res, err := core.SynthesizeContext(ctx, c, opt)

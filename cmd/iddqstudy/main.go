@@ -74,9 +74,9 @@ func main() {
 		os.Exit(runctl.ExitFailure)
 	}
 
-	ctx, cancelTimeout := runctl.WithTimeout(context.Background(), *timeout)
+	ctx, cancelTimeout := runctl.WithTimeout(context.Background(), *timeout, orun.Obs)
 	defer cancelTimeout()
-	ctx, stop := runctl.WithSignalsObs(ctx, os.Stderr, orun.Obs)
+	ctx, stop := runctl.WithSignals(ctx, os.Stderr, orun.Obs)
 	defer stop()
 	ctx = obs.NewContext(ctx, orun.Obs)
 
@@ -133,7 +133,7 @@ func main() {
 	})
 
 	run("convergence", func() error {
-		res, err := experiments.ConvergenceFrom(ctx, *circuit, 8, prm)
+		res, err := experiments.Convergence(ctx, *circuit, 8, prm)
 		if err != nil {
 			return err
 		}

@@ -23,6 +23,7 @@ import (
 	"os"
 	"strings"
 
+	"iddqsyn/internal/evolution"
 	"iddqsyn/internal/experiments"
 	"iddqsyn/internal/obs"
 	"iddqsyn/internal/obscli"
@@ -58,9 +59,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	ctx, cancelTimeout := runctl.WithTimeout(context.Background(), *timeout)
+	ctx, cancelTimeout := runctl.WithTimeout(context.Background(), *timeout, orun.Obs)
 	defer cancelTimeout()
-	ctx, stop := runctl.WithSignalsObs(ctx, os.Stderr, orun.Obs)
+	ctx, stop := runctl.WithSignals(ctx, os.Stderr, orun.Obs)
 	defer stop()
 	ctx = obs.NewContext(ctx, orun.Obs)
 
@@ -77,8 +78,8 @@ func main() {
 	fmt.Print(experiments.FormatTable1(rows))
 	fmt.Println()
 	for _, r := range rows {
-		fmt.Printf("%s: evolution converged in %d generations (%d evaluations); weighted cost %.6g vs standard %.6g\n",
-			r.Circuit, r.Generations, r.Evaluations, r.CostEvolution, r.CostStandard)
+		fmt.Printf("%s: evolution %s (%d evaluations); weighted cost %.6g vs standard %.6g\n",
+			r.Circuit, stopReason(r.Generations, prm), r.Evaluations, r.CostEvolution, r.CostStandard)
 	}
 	if *csvPath != "" {
 		if err := writeFile(*csvPath, func(f *os.File) error { return report.Table1CSV(f, rows) }); err != nil {
@@ -92,6 +93,15 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// stopReason says why an evolution run of gens generations under prm
+// ended: at the generation cap, or on the stall criterion before it.
+func stopReason(gens int, prm evolution.Params) string {
+	if gens >= prm.MaxGenerations {
+		return fmt.Sprintf("stopped at the %d-generation cap", prm.MaxGenerations)
+	}
+	return fmt.Sprintf("stalled after %d generations (window %d)", gens, prm.StallGenerations)
 }
 
 func writeFile(path string, emit func(*os.File) error) error {

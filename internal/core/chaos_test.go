@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"strings"
@@ -50,7 +51,7 @@ func chaosCircuit(t *testing.T) *circuit.Circuit {
 func TestDegradeFallsBackToStandard(t *testing.T) {
 	inj := chaos.New(mustSchedule(t, "seed=9,rate=1,sites=evolution.worker.panic"), nil)
 	o := obs.New("degrade", nil, nil)
-	res, err := Synthesize(circuits.C17(), Options{
+	res, err := SynthesizeContext(context.Background(), circuits.C17(), Options{
 		Evolution: chaosParams(),
 		Obs:       o,
 		Chaos:     inj,
@@ -87,7 +88,7 @@ func TestDegradeFallsBackToStandard(t *testing.T) {
 
 func TestPersistentFaultWithoutDegradeFails(t *testing.T) {
 	inj := chaos.New(mustSchedule(t, "seed=9,rate=1,sites=evolution.worker.panic"), nil)
-	_, err := Synthesize(circuits.C17(), Options{
+	_, err := SynthesizeContext(context.Background(), circuits.C17(), Options{
 		Evolution: chaosParams(),
 		Chaos:     inj,
 	})
@@ -100,7 +101,7 @@ func TestPersistentFaultWithoutDegradeFails(t *testing.T) {
 }
 
 func TestRetryAfterTransientFaultIsBitIdentical(t *testing.T) {
-	baseline, err := Synthesize(chaosCircuit(t), Options{Evolution: chaosParams()})
+	baseline, err := SynthesizeContext(context.Background(), chaosCircuit(t), Options{Evolution: chaosParams()})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -108,7 +109,7 @@ func TestRetryAfterTransientFaultIsBitIdentical(t *testing.T) {
 	// identical seeded optimization with the fault already spent.
 	inj := chaos.New(mustSchedule(t, "seed=4,after=5,sites=evolution.worker.panic"), nil)
 	o := obs.New("retry", nil, nil)
-	res, err := Synthesize(chaosCircuit(t), Options{
+	res, err := SynthesizeContext(context.Background(), chaosCircuit(t), Options{
 		Evolution:        chaosParams(),
 		Obs:              o,
 		Chaos:            inj,
@@ -137,7 +138,7 @@ func TestPoisonedEstimatorDegrades(t *testing.T) {
 	// estimate.nan with after=3 poisons one estimator call; with Degrade
 	// set and the fault spent on attempt 1, the retry succeeds.
 	inj := chaos.New(mustSchedule(t, "seed=2,after=3,sites=estimate.nan"), nil)
-	res, err := Synthesize(chaosCircuit(t), Options{
+	res, err := SynthesizeContext(context.Background(), chaosCircuit(t), Options{
 		Evolution: chaosParams(),
 		Chaos:     inj,
 		Degrade:   true,
@@ -160,7 +161,7 @@ func TestPoisonedStartPopulationIsContained(t *testing.T) {
 	prm := chaosParams()
 	prm.Workers = 2
 	before := runtime.NumGoroutine()
-	_, err := Synthesize(chaosCircuit(t), Options{
+	_, err := SynthesizeContext(context.Background(), chaosCircuit(t), Options{
 		Evolution:  prm,
 		ModuleSize: 8,
 		Chaos:      chaos.New(mustSchedule(t, "seed=1,after=1,sites=estimate.nan"), nil),
@@ -184,7 +185,7 @@ func TestPoisonedStartPopulationIsContained(t *testing.T) {
 	// panic in its first evaluation; both faults are then spent, so the
 	// fallback's audit sees a clean estimator.
 	o := obs.New("start-poison", nil, nil)
-	res, err := Synthesize(chaosCircuit(t), Options{
+	res, err := SynthesizeContext(context.Background(), chaosCircuit(t), Options{
 		Evolution:  prm,
 		ModuleSize: 8,
 		Obs:        o,

@@ -1,5 +1,5 @@
 // Package core is the public face of iddqsyn: given a gate-level circuit
-// and a characterised cell library, Synthesize partitions the circuit into
+// and a characterised cell library, SynthesizeContext partitions the circuit into
 // BIC-sensor modules — with the paper's evolution-based algorithm or the
 // baseline standard partitioning — sizes one Built-In Current sensor per
 // module, and returns the complete IDDQ-testable design together with its
@@ -8,7 +8,7 @@
 // Typical use:
 //
 //	c, _ := bench.Read(f, "mydesign")
-//	res, err := core.Synthesize(c, core.Options{})
+//	res, err := core.SynthesizeContext(context.Background(), c, core.Options{})
 //	fmt.Println(res.Report())
 package core
 
@@ -61,7 +61,7 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// Options configures Synthesize. The zero value selects the paper's
+// Options configures SynthesizeContext. The zero value selects the paper's
 // defaults everywhere: the built-in cell library, the §5 weight factors,
 // d = 10, and the evolution method.
 type Options struct {
@@ -107,8 +107,9 @@ type Options struct {
 	Obs *obs.Obs
 
 	// Chaos, if non-nil, injects deterministic faults into the synthesis
-	// failure surfaces — the estimator boundary and (through the
-	// optimizer Control) the evolution worker pool. When nil the injector
+	// failure surfaces — the estimator boundary and (through the context
+	// the optimizer runs under) the evolution worker pool; a Control.Chaos
+	// takes precedence in the optimizer. When nil the injector
 	// carried by the context (chaos.FromContext) is used; if that is also
 	// nil nothing is ever injected. Test plumbing only.
 	Chaos *chaos.Injector
@@ -151,56 +152,20 @@ type Result struct {
 	DegradedErr error
 }
 
-// Synthesize runs the full flow on circuit c.
-func Synthesize(c *circuit.Circuit, opt Options) (*Result, error) {
-	return SynthesizeContext(context.Background(), c, opt)
-}
-
-// SynthesizeContext is Synthesize with cooperative cancellation: the
-// context is threaded into the optimizer, which checks it at generation
-// boundaries. A cancelled synthesis still returns a complete Result —
-// partition, sensors, costs — built from the optimizer's best-so-far
-// individual, with Result.Evolution.Interrupted set.
+// SynthesizeContext runs the full flow on circuit c. The context is
+// threaded into the optimizer, which checks it at generation boundaries.
+// A cancelled synthesis still returns a complete Result — partition,
+// sensors, costs — built from the optimizer's best-so-far individual,
+// with Result.Evolution.Interrupted set.
 func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (res *Result, err error) {
 	// Last-resort containment: whatever a poisoned estimator or injected
 	// fault manages to blow up, the synthesis ends with a named error —
 	// never a process crash, never an unvalidated result.
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			if perr, ok := r.(error); ok {
-				err = fmt.Errorf("core: synthesis panicked: %w", perr)
-			} else {
-				err = fmt.Errorf("core: synthesis panicked: %v", r)
-			}
-		}
-	}()
-	o := opt.Obs
-	if o == nil {
-		o = obs.FromContext(ctx)
-	}
-	inj := opt.Chaos
-	if inj == nil {
-		inj = chaos.FromContext(ctx)
-	}
-	// The optimizer resolves its Obs and injector from the Control (or
-	// its context); inject ours into a copy so the caller's struct stays
-	// untouched.
-	ctl := opt.Control
-	if (o != nil && (ctl == nil || ctl.Obs == nil)) ||
-		(inj != nil && (ctl == nil || ctl.Chaos == nil)) {
-		cc := evolution.Control{}
-		if ctl != nil {
-			cc = *ctl
-		}
-		if cc.Obs == nil {
-			cc.Obs = o
-		}
-		if cc.Chaos == nil {
-			cc.Chaos = inj
-		}
-		ctl = &cc
-	}
+	defer contain(&res, &err, "synthesis")
+	// The optimizer reads its Obs and injector from the context unless
+	// the Control names its own.
+	ctx = chaos.NewContext(obs.NewContext(ctx, opt.Obs), opt.Chaos)
+	o, inj := obs.FromContext(ctx), chaos.FromContext(ctx)
 	lib := opt.Library
 	if lib == nil {
 		lib = celllib.Default()
@@ -222,33 +187,27 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 		eprm = *opt.Evolution
 	}
 
-	// Causal-trace phases ride alongside the log spans: each core phase is
-	// a child of the span the context carries (the serving layer's
-	// serve.attempt), so a retained slow trace decomposes the attempt into
-	// annotate / estimator / optimize / audit / chip. All nil-cheap when
-	// the context carries no span.
-	psp := obs.SpanFromContext(ctx)
-
-	sp := o.StartSpan("core.annotate", "circuit", c.Name)
-	tsp := psp.StartChild("core.annotate")
+	// Each phase span feeds its span.core.*.seconds histogram and, as a
+	// child of the span the context carries (the serving layer's
+	// serve.attempt), the causal trace, so a retained slow trace
+	// decomposes the attempt into annotate / estimator / optimize / audit
+	// / chip. Nil-cheap when neither is armed.
+	sp := o.StartSpan(ctx, "core.annotate", "circuit", c.Name)
 	a, err := celllib.Annotate(c, lib)
-	tsp.End()
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	sp = o.StartSpan("core.estimator")
-	tsp = psp.StartChild("core.estimator")
+	sp = o.StartSpan(ctx, "core.estimator")
 	e := estimate.New(a, prm)
 	e.SetObs(o)
 	e.SetChaos(inj)
-	tsp.End()
 	sp.End()
 
 	res = &Result{Method: opt.Method, Circuit: c, Annotated: a, Estimator: e}
-	optSpan := o.StartSpan("core.optimize", "method", opt.Method.String())
-	optTsp := psp.StartChild("core.optimize")
-	ctx = obs.ContextWithSpan(ctx, optTsp) // evolution generations attach here
+	optSpan := o.StartSpan(ctx, "core.optimize", "method", opt.Method.String())
+	phaseCtx := ctx                         // audit and chip are siblings of core.optimize
+	ctx = obs.ContextWithSpan(ctx, optSpan) // evolution generations attach here
 	switch opt.Method {
 	case MethodEvolution:
 		attempts := 1 + opt.OptimizerRetries
@@ -261,7 +220,7 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 			if attempt > 1 && ctx.Err() != nil {
 				break // cancelled mid-retry: keep the last failure
 			}
-			er, optErr = runEvolution(ctx, c, e, w, cons, eprm, opt, ctl)
+			er, optErr = runEvolution(ctx, e, w, cons, eprm, opt)
 			if optErr == nil {
 				break
 			}
@@ -297,7 +256,6 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", opt.Method)
 	}
-	optTsp.End()
 	optSpan.End("modules", res.Partition.NumModules())
 
 	// Every synthesis result passes the static partition audit before it
@@ -306,19 +264,15 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 	// evaluation. Feasibility bounds are the caller's policy (see
 	// partcheck.Feasibility); a violated structural invariant here is a
 	// bug, and the named constraint says which one.
-	sp = o.StartSpan("core.audit")
-	tsp = psp.StartChild("core.audit")
+	sp = o.StartSpan(phaseCtx, "core.audit")
 	r := partcheck.VerifyPartition(res.Partition, partcheck.StructureOnly())
-	tsp.End()
 	sp.End()
 	if !r.OK() {
 		return nil, fmt.Errorf("core: final partition fails the static audit: %w", r.Err())
 	}
 	res.Costs = res.Partition.Costs()
-	sp = o.StartSpan("core.chip")
-	tsp = psp.StartChild("core.chip")
+	sp = o.StartSpan(phaseCtx, "core.chip")
 	chip, err := bic.NewChip(a, res.Partition.Groups(), e)
-	tsp.End()
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -336,21 +290,12 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 // panic containment: a panic anywhere in the attempt (start-population
 // construction included) becomes an error with its chain intact, so the
 // retry/degrade loop above can classify it with errors.Is.
-func runEvolution(ctx context.Context, c *circuit.Circuit, e *estimate.Estimator,
+func runEvolution(ctx context.Context, e *estimate.Estimator,
 	w partition.Weights, cons partition.Constraints, eprm evolution.Params,
-	opt Options, ctl *evolution.Control) (er *evolution.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			er = nil
-			if perr, ok := r.(error); ok {
-				err = fmt.Errorf("core: optimizer panicked: %w", perr)
-			} else {
-				err = fmt.Errorf("core: optimizer panicked: %v", r)
-			}
-		}
-	}()
+	opt Options) (er *evolution.Result, err error) {
+	defer contain(&er, &err, "optimizer")
 	if opt.Resume != nil {
-		er, err = evolution.ResumeContext(ctx, opt.Resume, e, w, cons, opt.Trace, ctl)
+		er, err = evolution.ResumeContext(ctx, opt.Resume, e, w, cons, opt.Trace, opt.Control)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -364,7 +309,7 @@ func runEvolution(ctx context.Context, c *circuit.Circuit, e *estimate.Estimator
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	er, err = evolution.OptimizeControlled(ctx, starts, eprm, opt.Trace, ctl)
+	er, err = evolution.OptimizeControlled(ctx, starts, eprm, opt.Trace, opt.Control)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -377,16 +322,7 @@ func runEvolution(ctx context.Context, c *circuit.Circuit, e *estimate.Estimator
 // than a crash.
 func standardGroups(c *circuit.Circuit, opt Options, prm estimate.Params,
 	e *estimate.Estimator, w partition.Weights, cons partition.Constraints) (p *partition.Partition, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			p = nil
-			if perr, ok := r.(error); ok {
-				err = fmt.Errorf("core: standard partitioning panicked: %w", perr)
-			} else {
-				err = fmt.Errorf("core: standard partitioning panicked: %v", r)
-			}
-		}
-	}()
+	defer contain(&p, &err, "standard partitioning")
 	var groups [][]int
 	if opt.Modules > 0 {
 		groups = standard.StandardPartitionK(c, opt.Modules, prm.Rho)
@@ -402,6 +338,22 @@ func standardGroups(c *circuit.Circuit, opt Options, prm estimate.Params,
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return p, nil
+}
+
+// contain turns a panic in the deferring function into *err, naming what
+// panicked, and clears its result *res. An error value is wrapped, so
+// errors.Is sees through the recover boundary.
+func contain[T any](res **T, err *error, what string) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	*res = nil
+	if perr, ok := r.(error); ok {
+		*err = fmt.Errorf("core: %s panicked: %w", what, perr)
+	} else {
+		*err = fmt.Errorf("core: %s panicked: %v", what, r)
+	}
 }
 
 // Report renders a human-readable synthesis report: the partition, the

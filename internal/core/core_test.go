@@ -13,7 +13,7 @@ import (
 )
 
 func TestSynthesizeC17Evolution(t *testing.T) {
-	res, err := Synthesize(circuits.C17(), Options{})
+	res, err := SynthesizeContext(context.Background(), circuits.C17(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestSynthesizeC17Evolution(t *testing.T) {
 }
 
 func TestSynthesizeStandard(t *testing.T) {
-	res, err := Synthesize(circuits.C17(), Options{Method: MethodStandard, ModuleSize: 3})
+	res, err := SynthesizeContext(context.Background(), circuits.C17(), Options{Method: MethodStandard, ModuleSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSynthesizeStandard(t *testing.T) {
 
 func TestSynthesizeStandardAtK(t *testing.T) {
 	c := circuits.MustISCAS85Like("c432")
-	res, err := Synthesize(c, Options{Method: MethodStandard, Modules: 4})
+	res, err := SynthesizeContext(context.Background(), c, Options{Method: MethodStandard, Modules: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +66,11 @@ func TestSynthesizeEvolutionBeatsStandardOnCost(t *testing.T) {
 	eprm := evolution.DefaultParams()
 	eprm.MaxGenerations = 120
 	eprm.StallGenerations = 30
-	evo, err := Synthesize(c, Options{Evolution: &eprm})
+	evo, err := SynthesizeContext(context.Background(), c, Options{Evolution: &eprm})
 	if err != nil {
 		t.Fatal(err)
 	}
-	std, err := Synthesize(c, Options{Method: MethodStandard, Modules: evo.Partition.NumModules()})
+	std, err := SynthesizeContext(context.Background(), c, Options{Method: MethodStandard, Modules: evo.Partition.NumModules()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSynthesizeCustomWeights(t *testing.T) {
 	// modules relative to the area-focused default.
 	w := partition.PaperWeights()
 	w.Modules = 1e7
-	res, err := Synthesize(circuits.C17(), Options{Weights: &w})
+	res, err := SynthesizeContext(context.Background(), circuits.C17(), Options{Weights: &w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSynthesizeCustomWeights(t *testing.T) {
 }
 
 func TestSynthesizeUnknownMethod(t *testing.T) {
-	if _, err := Synthesize(circuits.C17(), Options{Method: Method(9)}); err == nil {
+	if _, err := SynthesizeContext(context.Background(), circuits.C17(), Options{Method: Method(9)}); err == nil {
 		t.Error("want error for unknown method")
 	}
 }
@@ -113,7 +113,7 @@ func TestMethodString(t *testing.T) {
 }
 
 func TestReport(t *testing.T) {
-	res, err := Synthesize(circuits.C17(), Options{})
+	res, err := SynthesizeContext(context.Background(), circuits.C17(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestReport(t *testing.T) {
 
 func TestTraceForwarded(t *testing.T) {
 	calls := 0
-	_, err := Synthesize(circuits.C17(), Options{
+	_, err := SynthesizeContext(context.Background(), circuits.C17(), Options{
 		Trace: func(gen int, best *partition.Partition, bestCost float64) { calls++ },
 	})
 	if err != nil {
@@ -143,7 +143,7 @@ func TestTraceForwarded(t *testing.T) {
 // optimizer's counters in the registry and the final status published.
 func TestSynthesizeObserved(t *testing.T) {
 	o := obs.New("r-core", nil, nil)
-	res, err := Synthesize(circuits.C17(), Options{Obs: o})
+	res, err := SynthesizeContext(context.Background(), circuits.C17(), Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +167,42 @@ func TestSynthesizeObserved(t *testing.T) {
 	}
 	if st, ok := o.Status().(evolution.RunStatus); !ok || st.BestCost != res.Evolution.BestCost {
 		t.Errorf("published status = %+v, want final RunStatus of the run", o.Status())
+	}
+}
+
+// TestSynthesizeTracedPhases: under a traced context, each of the five
+// phase spans is a direct child of the context's span, and the
+// optimizer's per-generation spans hang off core.optimize.
+func TestSynthesizeTracedPhases(t *testing.T) {
+	o := obs.New("r-trace", nil, nil)
+	tr := obs.NewTracer(obs.TracerConfig{})
+	root := tr.StartRoot("serve.attempt")
+	ctx := obs.ContextWithSpan(context.Background(), root)
+	if _, err := SynthesizeContext(ctx, circuits.C17(), Options{Obs: o}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	snap := tr.Snapshot()
+	if len(snap.Slowest) != 1 {
+		t.Fatalf("retained traces = %d, want 1", len(snap.Slowest))
+	}
+	id := map[string]uint64{}
+	parent := map[string]uint64{}
+	for _, sp := range snap.Slowest[0].Spans {
+		id[sp.Name], parent[sp.Name] = sp.Span, sp.Parent
+	}
+	for _, phase := range []string{"core.annotate", "core.estimator", "core.optimize", "core.audit", "core.chip"} {
+		if _, ok := id[phase]; !ok || parent[phase] != id["serve.attempt"] {
+			t.Errorf("%s: recorded %v, parent %d, want a child of serve.attempt (%d)",
+				phase, ok, parent[phase], id["serve.attempt"])
+		}
+	}
+	if parent["evolution.evaluate"] != id["core.optimize"] {
+		t.Errorf("evolution.evaluate parent = %d, want core.optimize (%d)",
+			parent["evolution.evaluate"], id["core.optimize"])
+	}
+	if n := o.Registry().Snapshot().Histograms["span.core.audit.seconds"].Count; n != 1 {
+		t.Errorf("span.core.audit.seconds Count = %d under tracing, want 1", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"runtime"
 	"testing"
@@ -61,7 +62,7 @@ func synthesizeUnder(t *testing.T, c *circuit.Circuit, size, procs, workers int)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	prm := goldenParams(1)
 	prm.Workers = workers
-	res, err := Synthesize(c, Options{Evolution: &prm, ModuleSize: size})
+	res, err := SynthesizeContext(context.Background(), c, Options{Evolution: &prm, ModuleSize: size})
 	if err != nil {
 		t.Fatalf("GOMAXPROCS %d, Workers %d: %v", procs, workers, err)
 	}

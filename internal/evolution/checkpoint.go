@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"iddqsyn/internal/estimate"
@@ -210,23 +209,15 @@ func ResumeContext(ctx context.Context, ck *Checkpoint, e *estimate.Estimator, w
 	if r := partcheck.VerifyStructure(c, ck.Best); !r.OK() {
 		return nil, fmt.Errorf("evolution: checkpoint best individual: %w", r.Err())
 	}
-	src := newCountingSource(ck.Params.Seed)
-	src.skip(ck.RNGDraws)
-	s := &state{
-		prm:     ck.Params,
-		src:     src,
-		rng:     rand.New(src),
-		stall:   ck.Stall,
-		nextGen: ck.Generation + 1,
-		obs:     newRunObs(resolveObs(ctx, ctl)),
-		res: &Result{
-			BestCost:    ck.BestCost,
-			Generations: ck.Generation,
-			Evaluations: ck.Evaluations,
-			History:     append([]float64(nil), ck.History...),
-		},
+	s := newState(ctx, ck.Params, ck.RNGDraws, ctl)
+	s.stall = ck.Stall
+	s.nextGen = ck.Generation + 1
+	*s.res = Result{
+		BestCost:    ck.BestCost,
+		Generations: ck.Generation,
+		Evaluations: ck.Evaluations,
+		History:     append([]float64(nil), ck.History...),
 	}
-	s.attachControl(ctx, ctl)
 	if s.obs.on && ck.Metrics != nil {
 		// Seed the registry with the checkpointed totals: cumulative
 		// counters and histograms continue monotonically across the

@@ -137,7 +137,7 @@ type state struct {
 	// mutation phase allocation-free.
 	mv moveScratch
 
-	// Failure-surface plumbing, resolved once by attachControl. None of
+	// Failure-surface plumbing, resolved once by newState. None of
 	// it ever touches the seeded random stream: an inert injector and the
 	// real filesystem leave the run bit-identical to an unplumbed one.
 	chaos *chaos.Injector
@@ -145,14 +145,26 @@ type state struct {
 	retry *fsx.RetryPolicy
 }
 
-// attachControl resolves the run's failure-surface plumbing: the fault
-// injector (explicit Control field first, then the context carriage), the
-// checkpoint filesystem, and the retry policy with the run's telemetry
-// layered onto its OnRetry callback.
-func (s *state) attachControl(ctx context.Context, ctl *Control) {
-	s.chaos = resolveChaos(ctx, ctl)
-	s.tsp = obs.SpanFromContext(ctx)
-	s.fs = fsx.OS{}
+// newState builds the state a fresh or resumed run starts from: the
+// seeded random stream advanced by draws steps, the run's telemetry, and
+// its failure-surface plumbing — the fault injector and Obs (explicit
+// Control field first, then the context carriage), the checkpoint
+// filesystem, and the retry policy with the run's telemetry layered onto
+// its OnRetry callback.
+func newState(ctx context.Context, prm Params, draws uint64, ctl *Control) *state {
+	src := newCountingSource(prm.Seed)
+	src.skip(draws)
+	s := &state{
+		prm:     prm,
+		src:     src,
+		rng:     rand.New(src),
+		res:     &Result{},
+		nextGen: 1,
+		obs:     newRunObs(resolveObs(ctx, ctl)),
+		chaos:   resolveChaos(ctx, ctl),
+		tsp:     obs.SpanFromContext(ctx),
+		fs:      fsx.OS{},
+	}
 	if ctl != nil && ctl.FS != nil {
 		s.fs = ctl.FS
 	}
@@ -170,6 +182,7 @@ func (s *state) attachControl(ctx context.Context, ctl *Control) {
 		}
 	}
 	s.retry = &pol
+	return s
 }
 
 // run executes generations nextGen..MaxGenerations with cancellation

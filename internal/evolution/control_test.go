@@ -59,7 +59,7 @@ func TestCancellationReturnsBestSoFar(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := RunContext(ctx, env.e, env.w, env.cons, prm, trace)
+	res, err := runFull(ctx, env.e, env.w, env.cons, prm, trace, nil)
 	if err != nil {
 		t.Fatalf("cancellation must not be an error: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestPreCancelledContext(t *testing.T) {
 	env, prm := controlSetup(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, env.e, env.w, env.cons, prm, nil)
+	res, err := runFull(ctx, env.e, env.w, env.cons, prm, nil, nil)
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			env, prm := controlSetup(t)
 			prm.Workers = workers
 
-			baseline, err := RunContext(context.Background(), env.e, env.w, env.cons, prm, nil)
+			baseline, err := runFull(context.Background(), env.e, env.w, env.cons, prm, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 					cancel()
 				}
 			}
-			interrupted, err := RunControlled(ctx, env.e, env.w, env.cons, prm, trace, ctl)
+			interrupted, err := runFull(ctx, env.e, env.w, env.cons, prm, trace, ctl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 func TestPeriodicCheckpointIsLoadable(t *testing.T) {
 	env, prm := controlSetup(t)
 	ckpt := filepath.Join(t.TempDir(), "periodic.ckpt")
-	_, err := RunControlled(context.Background(), env.e, env.w, env.cons, prm, nil,
+	_, err := runFull(context.Background(), env.e, env.w, env.cons, prm, nil,
 		&Control{CheckpointPath: ckpt, CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestLoadCheckpointErrors(t *testing.T) {
 	good := filepath.Join(dir, "good.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunControlled(ctx, env.e, env.w, env.cons, prm, nil,
+	if _, err := runFull(ctx, env.e, env.w, env.cons, prm, nil,
 		&Control{CheckpointPath: good}); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestResumeRejectsCorruptedPartition(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "c.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunControlled(ctx, env.e, env.w, env.cons, prm, nil,
+	if _, err := runFull(ctx, env.e, env.w, env.cons, prm, nil,
 		&Control{CheckpointPath: ckpt}); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestResumeRejectsWrongCircuit(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "c.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunControlled(ctx, env.e, env.w, env.cons, prm, nil,
+	if _, err := runFull(ctx, env.e, env.w, env.cons, prm, nil,
 		&Control{CheckpointPath: ckpt}); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestWorkerPanicSurfacesAsError(t *testing.T) {
 			}
 			defer func() { testEvalHook = nil }()
 
-			_, err := RunContext(context.Background(), env.e, env.w, env.cons, prm, nil)
+			_, err := runFull(context.Background(), env.e, env.w, env.cons, prm, nil, nil)
 			if err == nil {
 				t.Fatal("injected panic must surface as an error")
 			}

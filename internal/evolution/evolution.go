@@ -156,28 +156,19 @@ func costOf(p *partition.Partition) float64 {
 	return c
 }
 
-// Optimize runs the evolution cycle on an explicit start population.
-// Every start partition must share the same estimator, weights and
-// constraints. Infeasible individuals (Γ(Π) = 0) are penalised so
-// heavily that any feasible descendant dominates them, with the penalty
-// graded by the size of the violation so evolution can climb back to
-// feasibility.
-func Optimize(starts []*partition.Partition, prm Params, trace Trace) (*Result, error) {
-	return OptimizeContext(context.Background(), starts, prm, trace)
-}
-
-// OptimizeContext is Optimize with cooperative cancellation: the context
-// is checked at every generation boundary, and a cancelled run returns
-// the best-so-far Result with Interrupted set (and a nil error) instead
-// of discarding the work done so far.
-func OptimizeContext(ctx context.Context, starts []*partition.Partition, prm Params, trace Trace) (*Result, error) {
-	return OptimizeControlled(ctx, starts, prm, trace, nil)
-}
-
-// OptimizeControlled is OptimizeContext with run control: if ctl names a
-// checkpoint file, the full optimizer state is persisted there
-// periodically and on interruption, so a killed run can be resumed
-// bit-identically with ResumeContext.
+// OptimizeControlled runs the evolution cycle of §4 on an explicit start
+// population (see StartPopulation). Every start partition must share the
+// same estimator, weights and constraints. Infeasible individuals
+// (Γ(Π) = 0) are penalised so heavily that any feasible descendant
+// dominates them, with the penalty graded by the size of the violation so
+// evolution can climb back to feasibility.
+//
+// The context is checked at every generation boundary, and a cancelled
+// run returns the best-so-far Result with Interrupted set (and a nil
+// error) instead of discarding the work done so far. trace and ctl may be
+// nil. If ctl names a checkpoint file, the full optimizer state is
+// persisted there periodically and on interruption, so a killed run can
+// be resumed bit-identically with ResumeContext.
 func OptimizeControlled(ctx context.Context, starts []*partition.Partition, prm Params, trace Trace, ctl *Control) (*Result, error) {
 	if err := prm.validate(); err != nil {
 		return nil, err
@@ -185,16 +176,7 @@ func OptimizeControlled(ctx context.Context, starts []*partition.Partition, prm 
 	if len(starts) == 0 {
 		return nil, fmt.Errorf("evolution: empty start population")
 	}
-	src := newCountingSource(prm.Seed)
-	s := &state{
-		prm:     prm,
-		src:     src,
-		rng:     rand.New(src),
-		res:     &Result{},
-		nextGen: 1,
-		obs:     newRunObs(resolveObs(ctx, ctl)),
-	}
-	s.attachControl(ctx, ctl)
+	s := newState(ctx, prm, 0, ctl)
 	s.pop = make([]*individual, 0, len(starts))
 	for _, st := range starts {
 		s.pop = append(s.pop, &individual{p: st, m: prm.MaxMove})
@@ -406,25 +388,4 @@ func panicError(r interface{}, what string, i int) error {
 		return fmt.Errorf("%s %d panicked: %w", what, i, perr)
 	}
 	return fmt.Errorf("%s %d panicked: %v", what, i, r)
-}
-
-// Run is the full §4 flow: the module size is estimated with averaged
-// parameters, μ chain-based start partitions are constructed (§4.2), and
-// the evolution cycle optimizes the weighted cost under the constraints.
-func Run(e *estimate.Estimator, w partition.Weights, cons partition.Constraints, prm Params, trace Trace) (*Result, error) {
-	return RunContext(context.Background(), e, w, cons, prm, trace)
-}
-
-// RunContext is Run with cooperative cancellation (see OptimizeContext).
-func RunContext(ctx context.Context, e *estimate.Estimator, w partition.Weights, cons partition.Constraints, prm Params, trace Trace) (*Result, error) {
-	return RunControlled(ctx, e, w, cons, prm, trace, nil)
-}
-
-// RunControlled is RunContext with checkpointing (see OptimizeControlled).
-func RunControlled(ctx context.Context, e *estimate.Estimator, w partition.Weights, cons partition.Constraints, prm Params, trace Trace, ctl *Control) (*Result, error) {
-	starts, err := StartPopulation(e, standard.EstimateModuleSize(e, w, cons), w, cons, prm)
-	if err != nil {
-		return nil, err
-	}
-	return OptimizeControlled(ctx, starts, prm, trace, ctl)
 }

@@ -1,6 +1,7 @@
 package evolution
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -21,6 +22,16 @@ func estimatorFor(t *testing.T, c *circuit.Circuit) *estimate.Estimator {
 		t.Fatal(err)
 	}
 	return estimate.New(a, estimate.DefaultParams())
+}
+
+// runFull is the whole §4 flow the tests drive: μ chain start partitions
+// at the estimated module size, then the evolution cycle.
+func runFull(ctx context.Context, e *estimate.Estimator, w partition.Weights, cons partition.Constraints, prm Params, trace Trace, ctl *Control) (*Result, error) {
+	starts, err := StartPopulation(e, standard.EstimateModuleSize(e, w, cons), w, cons, prm)
+	if err != nil {
+		return nil, err
+	}
+	return OptimizeControlled(ctx, starts, prm, trace, ctl)
 }
 
 func TestParamsValidate(t *testing.T) {
@@ -45,7 +56,7 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestOptimizeEmptyPopulation(t *testing.T) {
-	if _, err := Optimize(nil, DefaultParams(), nil); err == nil {
+	if _, err := OptimizeControlled(context.Background(), nil, DefaultParams(), nil, nil); err == nil {
 		t.Error("want error for empty start population")
 	}
 }
@@ -60,7 +71,7 @@ func TestRunC17FindsPaperOptimum(t *testing.T) {
 	cons := partition.DefaultConstraints()
 	prm := DefaultParams()
 	prm.Seed = 3
-	res, err := Run(e, w, cons, prm, nil)
+	res, err := runFull(context.Background(), e, w, cons, prm, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +132,7 @@ func TestOptimizeImprovesOverStart(t *testing.T) {
 	prm := DefaultParams()
 	prm.MaxGenerations = 60
 	prm.StallGenerations = 20
-	res, err := Optimize(starts, prm, nil)
+	res, err := OptimizeControlled(context.Background(), starts, prm, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +155,11 @@ func TestOptimizeDeterministic(t *testing.T) {
 	cons := partition.DefaultConstraints()
 	prm := DefaultParams()
 	prm.MaxGenerations = 30
-	r1, err := Run(e, w, cons, prm, nil)
+	r1, err := runFull(context.Background(), e, w, cons, prm, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(e, w, cons, prm, nil)
+	r2, err := runFull(context.Background(), e, w, cons, prm, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +174,7 @@ func TestHistoryMonotone(t *testing.T) {
 	prm := DefaultParams()
 	prm.MaxGenerations = 40
 	prm.StallGenerations = 40
-	res, err := Run(e, partition.PaperWeights(), partition.DefaultConstraints(), prm, nil)
+	res, err := runFull(context.Background(), e, partition.PaperWeights(), partition.DefaultConstraints(), prm, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +193,7 @@ func TestTraceCalledEveryGeneration(t *testing.T) {
 	prm.StallGenerations = 10
 	calls := 0
 	lastGen := 0
-	_, err := Run(e, partition.PaperWeights(), partition.DefaultConstraints(), prm,
+	_, err := runFull(context.Background(), e, partition.PaperWeights(), partition.DefaultConstraints(), prm,
 		func(gen int, best *partition.Partition, bestCost float64) {
 			calls++
 			if gen != lastGen+1 {
@@ -192,7 +203,7 @@ func TestTraceCalledEveryGeneration(t *testing.T) {
 			if best == nil || math.IsInf(bestCost, 1) {
 				t.Error("trace with no feasible best")
 			}
-		})
+		}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +336,7 @@ func TestInfeasibleStartsRecover(t *testing.T) {
 	prm := DefaultParams()
 	prm.MaxGenerations = 150
 	prm.StallGenerations = 60
-	res, err := Optimize([]*partition.Partition{start}, prm, nil)
+	res, err := OptimizeControlled(context.Background(), []*partition.Partition{start}, prm, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +363,7 @@ func TestParallelEvaluationMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Optimize(starts, prm, nil)
+		res, err := OptimizeControlled(context.Background(), starts, prm, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

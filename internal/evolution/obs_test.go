@@ -16,13 +16,13 @@ import (
 func TestObservedRunMetricsMatchResult(t *testing.T) {
 	env, prm := controlSetup(t)
 
-	unobserved, err := RunContext(context.Background(), env.e, env.w, env.cons, prm, nil)
+	unobserved, err := runFull(context.Background(), env.e, env.w, env.cons, prm, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	o := obs.New("r-obs", nil, nil)
-	res, err := RunControlled(context.Background(), env.e, env.w, env.cons, prm, nil, &Control{Obs: o})
+	res, err := runFull(context.Background(), env.e, env.w, env.cons, prm, nil, &Control{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestResumedRunContinuesCountersMonotonically(t *testing.T) {
 	env, prm := controlSetup(t)
 
 	oBase := obs.New("r-base", nil, nil)
-	baseline, err := RunControlled(context.Background(), env.e, env.w, env.cons, prm, nil, &Control{Obs: oBase})
+	baseline, err := runFull(context.Background(), env.e, env.w, env.cons, prm, nil, &Control{Obs: oBase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestResumedRunContinuesCountersMonotonically(t *testing.T) {
 			cancel()
 		}
 	}
-	interrupted, err := RunControlled(ctx, env.e, env.w, env.cons, prm, trace,
+	interrupted, err := runFull(ctx, env.e, env.w, env.cons, prm, trace,
 		&Control{CheckpointPath: ckpt, CheckpointEvery: 5, Obs: oInt})
 	if err != nil {
 		t.Fatal(err)

@@ -144,7 +144,7 @@ func TestC17TraceReachesOptimum(t *testing.T) {
 }
 
 func TestConvergenceHistoryDecreases(t *testing.T) {
-	res, err := Convergence(context.Background(), "c432", fastEvolution())
+	res, err := Convergence(context.Background(), "c432", 0, fastEvolution())
 	if err != nil {
 		t.Fatal(err)
 	}

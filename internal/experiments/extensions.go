@@ -69,7 +69,7 @@ func OptimizerComparison(ctx context.Context, name string, startSize int, eprm e
 		}
 	}
 
-	es, err := evolution.OptimizeContext(ctx, starts, eprm, nil)
+	es, err := evolution.OptimizeControlled(ctx, starts, eprm, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -83,11 +83,11 @@ func OptimizerComparison(ctx context.Context, name string, startSize int, eprm e
 	if saPrm.MovesPerEpoch = budget / 80; saPrm.MovesPerEpoch < 1 {
 		saPrm.MovesPerEpoch = 1
 	}
-	sa, err := anneal.AnnealContext(ctx, best, saPrm)
+	sa, err := anneal.Anneal(ctx, best, saPrm)
 	if err != nil {
 		return nil, err
 	}
-	hc, err := anneal.HillClimbContext(ctx, best, budget, budget/4+1, eprm.Seed)
+	hc, err := anneal.HillClimb(ctx, best, budget, budget/4+1, eprm.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -190,7 +190,7 @@ func C17Trace(ctx context.Context, seed int64) (*C17TraceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	er, err := evolution.OptimizeContext(ctx, starts, prm, trace)
+	er, err := evolution.OptimizeControlled(ctx, starts, prm, trace, nil)
 	if err != nil {
 		return nil, err
 	}

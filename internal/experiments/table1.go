@@ -89,7 +89,7 @@ func Table1(ctx context.Context, cfg Table1Config) ([]Table1Row, error) {
 	o := obs.FromContext(ctx)
 	var rows []Table1Row
 	for _, name := range names {
-		sp := o.StartSpan("experiments.table1.circuit", "circuit", name)
+		sp := o.StartSpan(ctx, "experiments.table1.circuit", "circuit", name)
 		row, err := table1Circuit(ctx, name, eprm)
 		sp.End()
 		if err != nil {

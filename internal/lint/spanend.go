@@ -18,8 +18,9 @@ import (
 //
 // The analysis is function-local and syntactic over type-checked code.
 // A "span producer" is a call whose name starts with Start and whose
-// result (or one result of its tuple) is a *TraceSpan/*Span named type
-// from a package named "obs" — StartRoot, StartChild, StartTraceSpan.
+// result (or one result of its tuple) is a *TraceSpan named type from a
+// package named "obs" — StartRoot, StartChild, StartTraceSpan and the
+// phase-span constructor (*Obs).StartSpan.
 // Retrieval helpers (SpanFromContext) are not producers: the retriever
 // does not own the span's End.
 //
@@ -279,8 +280,8 @@ func isStartCall(call *ast.CallExpr) bool {
 	return len(name) >= 5 && name[:5] == "Start"
 }
 
-// isSpanType reports whether t is (a pointer to) a named span type —
-// TraceSpan or Span — declared in a package whose name is "obs".
+// isSpanType reports whether t is (a pointer to) the named span type
+// TraceSpan declared in a package whose name is "obs".
 func isSpanType(t types.Type) bool {
 	if t == nil {
 		return false
@@ -296,5 +297,5 @@ func isSpanType(t types.Type) bool {
 	if obj == nil || obj.Pkg() == nil || obj.Pkg().Name() != "obs" {
 		return false
 	}
-	return obj.Name() == "TraceSpan" || obj.Name() == "Span"
+	return obj.Name() == "TraceSpan"
 }

@@ -24,9 +24,17 @@ func StartedAt() time.Time { return time.Now() }
 // convention.
 type TraceSpan struct{ name string }
 
-func (sp *TraceSpan) End() time.Duration                { return 0 }
-func (sp *TraceSpan) StartChild(name string) *TraceSpan { return &TraceSpan{name: name} }
-func (sp *TraceSpan) Trace() uint64                     { return 0 }
+func (sp *TraceSpan) End(kv ...interface{}) time.Duration { return 0 }
+func (sp *TraceSpan) StartChild(name string) *TraceSpan   { return &TraceSpan{name: name} }
+func (sp *TraceSpan) Trace() uint64                       { return 0 }
+
+// Obs mirrors the phase-span constructor: StartSpan returns a TraceSpan
+// that also reports to the Obs.
+type Obs struct{}
+
+func (o *Obs) StartSpan(ctx spanCtx, name string, kv ...interface{}) *TraceSpan {
+	return &TraceSpan{name: name}
+}
 
 type Tracer struct{}
 

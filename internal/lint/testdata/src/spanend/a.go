@@ -91,3 +91,16 @@ func methodValue(t *obs.Tracer, run func(done func() interface{})) {
 	sp := t.StartRoot("serve.job")
 	run(func() interface{} { return sp.End() })
 }
+
+// Bad: a phase span that is never ended records no histogram and leaves
+// a hole in the trace.
+func phaseUnended(o *obs.Obs, ctx interface{}) {
+	sp := o.StartSpan(ctx, "core.annotate", "circuit", "c17") // want `span sp is started but never ended`
+	_ = sp
+}
+
+// Good: an ended phase span, with fields on both ends.
+func phaseEnded(o *obs.Obs, ctx interface{}) {
+	sp := o.StartSpan(ctx, "core.optimize", "method", "evolution")
+	sp.End("modules", 3)
+}

@@ -1,14 +1,15 @@
 // Package obs is the observability substrate of iddqsyn: a lock-cheap
 // metrics registry (counters, gauges, fixed-bucket histograms), a
-// structured leveled event logger with per-run IDs and nested timing
-// spans, a live introspection HTTP server (expvar, pprof, /runz), and
-// per-run metric snapshots that persist next to optimizer checkpoints.
+// structured leveled event logger with per-run IDs, timing spans that
+// feed both the metrics and the causal trace, a live introspection HTTP
+// server (expvar, pprof, /runz), and per-run metric snapshots that
+// persist next to optimizer checkpoints.
 //
 // The package is stdlib-only and deliberately nil-tolerant: every method
-// on *Obs, *Logger, *Registry, *Counter, *Gauge, *Histogram and *Span is
-// a no-op on a nil receiver, so instrumented code reads identically
-// whether a run is observed or not — no `if obs != nil` at call sites,
-// and the unobserved hot path costs one pointer comparison.
+// on *Obs, *Logger, *Registry, *Counter, *Gauge, *Histogram, *Tracer and
+// *TraceSpan is a no-op on a nil receiver, so instrumented code reads
+// identically whether a run is observed or not — no `if obs != nil` at
+// call sites, and the unobserved hot path costs one pointer comparison.
 //
 // An *Obs travels either explicitly (core.Options.Obs, evolution.Control
 // .Obs) or on the context (NewContext/FromContext), which lets the

@@ -17,6 +17,12 @@
 // allocation-only; nothing on the per-descendant optimizer hot path is
 // ever traced — spans cover phases, not individual cost evaluations).
 //
+// A phase span ((*Obs).StartSpan) is a TraceSpan that also reports to
+// an Obs: its End feeds the "span.<name>.seconds" histogram and the
+// debug begin/end events, and it joins the context's trace when one is
+// armed. One call times a synthesis phase for both the metrics snapshot
+// and the causal trace.
+//
 // Exports: Snapshot (JSON, embeddable in run snapshots) and Chrome
 // trace_event JSON (chrome://tracing, Perfetto) via the /tracez debug
 // endpoint.
@@ -133,8 +139,11 @@ func NewTracer(cfg TracerConfig) *Tracer {
 // different goroutines when the span hands off through a synchronized
 // structure (a queue-wait span ends on the worker that claims the job);
 // End is idempotent so a defensive double-End cannot double-record.
+// A phase span (StartSpan) also carries its Obs; its tracer is nil when
+// the context it started under carried no trace.
 type TraceSpan struct {
 	tr     *Tracer
+	o      *Obs
 	trace  uint64
 	id     uint64
 	parent uint64
@@ -180,14 +189,45 @@ func (sp *TraceSpan) StartChild(name string) *TraceSpan {
 	}
 }
 
-// End completes the span: the record lands in the ring and in its
-// trace's accumulator; ending a root span finalizes the trace through
-// the tail sampler. Idempotent and nil-safe. Returns the elapsed time.
-func (sp *TraceSpan) End() time.Duration {
+// StartSpan opens a phase span: a child of the context's span (so it
+// joins that trace, if any) that also reports to o when it ends. It logs
+// a debug begin event with kv. It returns nil only when o is nil and ctx
+// carries no traced span, so the unobserved, untraced path allocates
+// nothing.
+func (o *Obs) StartSpan(ctx context.Context, name string, kv ...any) *TraceSpan {
+	sp := SpanFromContext(ctx).StartChild(name)
+	if o == nil {
+		return sp
+	}
+	if l := o.Log(); l.Enabled(LevelDebug) {
+		l.Debug("span begin", append([]any{"span", name}, kv...)...)
+	}
+	if sp == nil {
+		sp = &TraceSpan{name: name, start: time.Now()}
+	}
+	sp.o = o
+	return sp
+}
+
+// End completes the span. A phase span records its elapsed seconds into
+// the histogram "span." + name + ".seconds" and logs a debug end event
+// with kv. A traced span's record lands in the ring and in its trace's
+// accumulator; ending a root span finalizes the trace through the tail
+// sampler. Idempotent and nil-safe. Returns the elapsed time.
+func (sp *TraceSpan) End(kv ...any) time.Duration {
 	if sp == nil || sp.ended.Swap(true) {
 		return 0
 	}
 	d := time.Since(sp.start)
+	if o := sp.o; o != nil {
+		o.Histogram("span."+sp.name+".seconds", nil).Observe(d.Seconds())
+		if l := o.Log(); l.Enabled(LevelDebug) {
+			l.Debug("span end", append([]any{"span", sp.name, "seconds", d.Seconds()}, kv...)...)
+		}
+	}
+	if sp.tr == nil {
+		return d
+	}
 	rec := SpanRecord{
 		Trace: sp.trace, Span: sp.id, Parent: sp.parent, Name: sp.name,
 		Start: sp.start.UnixNano(), Dur: int64(d),

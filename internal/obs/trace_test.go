@@ -308,3 +308,104 @@ func TestObsTracerWiring(t *testing.T) {
 		t.Fatalf("nil Obs.Tracer() = %v, want nil", nilObs.Tracer())
 	}
 }
+
+// Phase spans nest through the context: each one joins the trace the
+// context carries, and each feeds its own latency histogram and the
+// debug event stream. Trace-only spans (the root here) get no histogram.
+func TestSpanNesting(t *testing.T) {
+	var b strings.Builder
+	o := New("r-1", nil, NewLogger(&b, FormatText, LevelDebug).WithClock(pinnedClock()))
+	tr := NewTracer(TracerConfig{})
+	root := tr.StartRoot("serve.attempt")
+	ctx := ContextWithSpan(context.Background(), root)
+
+	outer := o.StartSpan(ctx, "optimize", "circuit", "c17")
+	inner := o.StartSpan(ContextWithSpan(ctx, outer), "generation")
+	if d := inner.End(); d < 0 {
+		t.Errorf("End returned negative duration %v", d)
+	}
+	outer.End("modules", 3)
+	root.End()
+
+	out := b.String()
+	for _, want := range []string{
+		"span begin", "span=optimize circuit=c17", "span=generation",
+		"span end", "modules=3",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("log missing %q:\n%s", want, out)
+		}
+	}
+	s := o.Registry().Snapshot()
+	for _, name := range []string{"span.optimize.seconds", "span.generation.seconds"} {
+		if s.Histograms[name].Count != 1 {
+			t.Errorf("%s Count = %d, want 1", name, s.Histograms[name].Count)
+		}
+	}
+	if _, ok := s.Histograms["span.serve.attempt.seconds"]; ok {
+		t.Error("a trace-only root span must not feed a histogram")
+	}
+	snap := tr.Snapshot()
+	if len(snap.Slowest) != 1 {
+		t.Fatalf("retained traces = %d, want 1", len(snap.Slowest))
+	}
+	parent := map[string]uint64{}
+	id := map[string]uint64{}
+	for _, sp := range snap.Slowest[0].Spans {
+		parent[sp.Name], id[sp.Name] = sp.Parent, sp.Span
+	}
+	if parent["optimize"] != id["serve.attempt"] || parent["generation"] != id["optimize"] {
+		t.Errorf("phase spans not linked under the context's trace: %+v", snap.Slowest[0].Spans)
+	}
+}
+
+func TestSpanNil(t *testing.T) {
+	var o *Obs
+	ctx := context.Background()
+	sp := o.StartSpan(ctx, "x")
+	if sp != nil {
+		t.Fatal("nil Obs without a context span must yield a nil span")
+	}
+	if sp.StartChild("y") != nil {
+		t.Error("nil span StartChild must stay nil")
+	}
+	if sp.End("k", 1) != 0 {
+		t.Error("nil span End must return 0")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		o.StartSpan(ctx, "phase", "k", "v").End("modules", 3)
+	}); n != 0 {
+		t.Errorf("unobserved, untraced StartSpan+End allocates %v, want 0", n)
+	}
+	// Under a traced context a nil Obs still yields a trace span.
+	tr := NewTracer(TracerConfig{})
+	root := tr.StartRoot("root")
+	child := o.StartSpan(ContextWithSpan(ctx, root), "phase")
+	if child == nil || child.Trace() != root.Trace() {
+		t.Fatalf("nil Obs under a traced context: span %v, want a child of trace %d", child, root.Trace())
+	}
+	child.End("ignored", true)
+	root.End()
+	if got := tr.Snapshot().CompletedSpans; got != 2 {
+		t.Errorf("completed spans = %d, want 2", got)
+	}
+}
+
+func TestSpanWithoutDebugLoggingStillRecords(t *testing.T) {
+	var b strings.Builder
+	o := New("r-1", nil, NewLogger(&b, FormatText, LevelWarn))
+	sp := o.StartSpan(context.Background(), "quiet")
+	time.Sleep(time.Millisecond)
+	if d := sp.End(); d < time.Millisecond {
+		t.Errorf("duration %v, want >= 1ms", d)
+	}
+	if sp.End() != 0 {
+		t.Error("a second End must not record again")
+	}
+	if b.Len() != 0 {
+		t.Errorf("no span events expected above debug level, got %q", b.String())
+	}
+	if o.Registry().Snapshot().Histograms["span.quiet.seconds"].Count != 1 {
+		t.Error("span duration must be recorded once, even when debug logging is off")
+	}
+}

@@ -89,16 +89,11 @@ var exit = os.Exit
 // the escape hatch when graceful shutdown itself hangs. Progress notes
 // are written to w (nil silences them). The returned stop function
 // releases the signal handler and the watcher goroutine; call it as soon
-// as the guarded work is done.
-func WithSignals(ctx context.Context, w io.Writer) (context.Context, context.CancelFunc) {
-	return WithSignalsObs(ctx, w, nil)
-}
-
-// WithSignalsObs is WithSignals with telemetry: each delivered signal
-// increments MetricSignals and is logged as a structured warning, so an
-// interrupted run's metrics snapshot records why it stopped. A nil o
-// keeps the behaviour of WithSignals exactly.
-func WithSignalsObs(ctx context.Context, w io.Writer, o *obs.Obs) (context.Context, context.CancelFunc) {
+// as the guarded work is done. Each delivered signal increments
+// MetricSignals on o and is logged as a structured warning, so an
+// interrupted run's metrics snapshot records why it stopped; o may be
+// nil.
+func WithSignals(ctx context.Context, w io.Writer, o *obs.Obs) (context.Context, context.CancelFunc) {
 	if w == nil {
 		w = io.Discard
 	}
@@ -140,17 +135,11 @@ func WithSignalsObs(ctx context.Context, w io.Writer, o *obs.Obs) (context.Conte
 
 // WithTimeout derives a context with a wall-clock budget; d <= 0 means no
 // deadline. It composes with WithSignals: apply the timeout first, then
-// the signal handler.
-func WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	return WithTimeoutObs(ctx, d, nil)
-}
-
-// WithTimeoutObs is WithTimeout with telemetry: when the deadline fires
-// (rather than the run finishing first), MetricTimeouts is incremented
-// and a structured warning is logged, so a snapshot of an interrupted
-// run records why it stopped. A nil o keeps WithTimeout's behaviour
-// exactly.
-func WithTimeoutObs(ctx context.Context, d time.Duration, o *obs.Obs) (context.Context, context.CancelFunc) {
+// the signal handler. When the deadline fires (rather than the run
+// finishing first), MetricTimeouts is incremented on o and a structured
+// warning is logged, so a snapshot of an interrupted run records why it
+// stopped; o may be nil.
+func WithTimeout(ctx context.Context, d time.Duration, o *obs.Obs) (context.Context, context.CancelFunc) {
 	if d <= 0 {
 		return context.WithCancel(ctx)
 	}

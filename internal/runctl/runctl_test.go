@@ -13,7 +13,7 @@ import (
 )
 
 func TestWithTimeoutZeroMeansNoDeadline(t *testing.T) {
-	ctx, cancel := WithTimeout(context.Background(), 0)
+	ctx, cancel := WithTimeout(context.Background(), 0, nil)
 	defer cancel()
 	if _, ok := ctx.Deadline(); ok {
 		t.Error("zero budget must not set a deadline")
@@ -25,7 +25,7 @@ func TestWithTimeoutZeroMeansNoDeadline(t *testing.T) {
 }
 
 func TestWithTimeoutExpires(t *testing.T) {
-	ctx, cancel := WithTimeout(context.Background(), 10*time.Millisecond)
+	ctx, cancel := WithTimeout(context.Background(), 10*time.Millisecond, nil)
 	defer cancel()
 	select {
 	case <-ctx.Done():
@@ -62,7 +62,7 @@ func TestWithSignalsTwoStage(t *testing.T) {
 	defer func() { exit = os.Exit }()
 
 	var notes syncWriter
-	ctx, stop := WithSignals(context.Background(), &notes)
+	ctx, stop := WithSignals(context.Background(), &notes, nil)
 	defer stop()
 
 	// First signal: graceful cancellation.
@@ -98,7 +98,7 @@ func TestWithSignalsTwoStage(t *testing.T) {
 }
 
 func TestWithSignalsStopIsIdempotent(t *testing.T) {
-	ctx, stop := WithSignals(context.Background(), nil)
+	ctx, stop := WithSignals(context.Background(), nil, nil)
 	stop()
 	stop() // must not panic (double close)
 	if ctx.Err() == nil {
@@ -110,7 +110,7 @@ func TestWithSignalsStopIsIdempotent(t *testing.T) {
 // finishes inside its budget must not be.
 func TestWithTimeoutObsRecordsExpiry(t *testing.T) {
 	o := obs.New("r-timeout", nil, nil)
-	ctx, cancel := WithTimeoutObs(context.Background(), 5*time.Millisecond, o)
+	ctx, cancel := WithTimeout(context.Background(), 5*time.Millisecond, o)
 	defer cancel()
 	<-ctx.Done()
 	deadline := func() bool {
@@ -127,7 +127,7 @@ func TestWithTimeoutObsRecordsExpiry(t *testing.T) {
 	}
 
 	o2 := obs.New("r-finished", nil, nil)
-	ctx2, cancel2 := WithTimeoutObs(context.Background(), time.Hour, o2)
+	ctx2, cancel2 := WithTimeout(context.Background(), time.Hour, o2)
 	cancel2()
 	<-ctx2.Done()
 	time.Sleep(5 * time.Millisecond)

@@ -517,7 +517,8 @@ func (s *Server) submit(spec *JobSpec, tenant string) (*job, bool, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
+	j, resubmit := s.jobs[id]
+	if resubmit {
 		j.mu.Lock()
 		failed := j.phase == PhaseFailed
 		j.mu.Unlock()
@@ -530,41 +531,7 @@ func (s *Server) submit(spec *JobSpec, tenant string) (*job, bool, error) {
 		// A failure is not a cacheable outcome: it may have been transient
 		// (fs fault, chaos schedule), so a resubmission re-admits the job
 		// with a fresh attempt window instead of replaying the stale
-		// failure forever. The spec side file already exists; only the
-		// journal record and queue entry are new.
-		if s.queue.Full() {
-			s.o.Counter(MetricOverload).Inc()
-			s.tenantRejected(tenant)
-			return nil, false, ErrOverloaded
-		}
-		root := s.o.Tracer().StartRoot("serve.job")
-		admit := root.StartChild("serve.admit")
-		if err := s.journal.Append(id, EventSubmitted, tenant); err != nil {
-			admit.End()
-			root.End()
-			s.noteWriteError(err)
-			return nil, false, err
-		}
-		admit.End()
-		j.mu.Lock()
-		j.phase = PhaseQueued
-		j.detail = ""
-		j.tenant = tenant
-		j.spec = spec
-		j.events = s.newStream() // the failed lifecycle's stream is closed
-		j.done = make(chan struct{})
-		j.root = root
-		j.qwait = root.StartChild("queue.wait")
-		j.enqueued = time.Now()
-		j.mu.Unlock()
-		if err := s.queue.Push(tenant, id); err != nil {
-			return nil, false, err
-		}
-		s.o.Gauge(MetricQueueDepth).Set(float64(s.queue.Len()))
-		s.o.Counter(MetricSubmitted).Inc()
-		s.tenantAdmitted(tenant)
-		s.o.Log().Info("failed job resubmitted", "job", id, "tenant", tenant)
-		return j, false, nil
+		// failure forever.
 	}
 	if s.queue.Full() {
 		s.o.Counter(MetricOverload).Inc()
@@ -578,29 +545,35 @@ func (s *Server) submit(spec *JobSpec, tenant string) (*job, bool, error) {
 	admit := root.StartChild("serve.admit")
 	// Side file first, then the journal record referencing it: a crash
 	// between the two leaves an orphaned spec file, never a journal
-	// record whose spec is missing.
-	if err := s.journal.WriteSpec(id, spec); err != nil {
-		admit.End()
-		root.End()
-		s.noteWriteError(err)
-		return nil, false, err
+	// record whose spec is missing. A resubmitted job's side file already
+	// exists.
+	if !resubmit {
+		err = s.journal.WriteSpec(id, spec)
 	}
-	if err := s.journal.Append(id, EventSubmitted, tenant); err != nil {
-		admit.End()
-		root.End()
-		s.noteWriteError(err)
-		return nil, false, err
+	if err == nil {
+		err = s.journal.Append(id, EventSubmitted, tenant)
 	}
 	admit.End()
-	j := &job{
-		id: id, tenant: tenant, spec: spec,
-		events: s.newStream(),
-		done:   make(chan struct{}),
+	if err != nil {
+		root.End()
+		s.noteWriteError(err)
+		return nil, false, err
 	}
+	if !resubmit {
+		j = &job{id: id}
+		s.jobs[id] = j
+	}
+	j.mu.Lock()
+	j.phase = PhaseQueued
+	j.detail = ""
+	j.tenant = tenant
+	j.spec = spec
+	j.events = s.newStream() // a failed lifecycle's stream is closed
+	j.done = make(chan struct{})
 	j.root = root
 	j.qwait = root.StartChild("queue.wait")
 	j.enqueued = time.Now()
-	s.jobs[id] = j
+	j.mu.Unlock()
 	// Cannot fail: capacity was checked above and only dequeues shrink
 	// the queue while we hold s.mu.
 	if err := s.queue.Push(tenant, id); err != nil {
@@ -609,7 +582,7 @@ func (s *Server) submit(spec *JobSpec, tenant string) (*job, bool, error) {
 	s.o.Gauge(MetricQueueDepth).Set(float64(s.queue.Len()))
 	s.o.Counter(MetricSubmitted).Inc()
 	s.tenantAdmitted(tenant)
-	s.o.Log().Info("job submitted", "job", id, "tenant", tenant)
+	s.o.Log().Info("job submitted", "job", id, "tenant", tenant, "resubmitted", resubmit)
 	return j, false, nil
 }
 

@@ -738,6 +738,64 @@ func TestServerTracingAndQueueMetrics(t *testing.T) {
 	}
 }
 
+// A re-admitted failed job is traced like a fresh one: its new lifecycle
+// gets its own serve.job root with serve.admit and queue.wait children.
+func TestServerResubmittedJobIsTraced(t *testing.T) {
+	ffs := &failingResultFS{FS: fsx.OS{}}
+	ffs.fail.Store(true)
+	o := obs.New("test", nil, nil)
+	o.SetTracer(obs.NewTracer(obs.TracerConfig{}))
+	s, hs := newTestServer(t, Config{
+		Workers: 1,
+		Obs:     o,
+		FS:      ffs,
+		Retry:   &fsx.RetryPolicy{Attempts: 2, BaseDelay: 1, MaxDelay: 1},
+	})
+	s.Start()
+	spec := &JobSpec{Netlist: c17Netlist(t), Generations: 20, Seed: 9}
+	_, st := postJSON(t, hs.URL, spec)
+	if got := waitDone(t, hs.URL, st.ID); got.Phase != "failed" {
+		t.Fatalf("job under result-write faults ended %s, want failed", got.Phase)
+	}
+	ffs.fail.Store(false)
+	_, st2 := postJSON(t, hs.URL, spec)
+	if got := waitDone(t, hs.URL, st2.ID); got.Phase != "done" {
+		t.Fatalf("resubmitted job ended %s: %s", got.Phase, got.Detail)
+	}
+
+	// The root ends just after the job turns terminal: wait for both.
+	var jobs []obs.TraceRecord
+	for deadline := time.Now().Add(10 * time.Second); len(jobs) < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("completed serve.job traces = %d, want 2 (fresh + resubmitted)", len(jobs))
+		}
+		time.Sleep(5 * time.Millisecond)
+		jobs = jobs[:0]
+		for _, tr := range o.Tracer().Snapshot().Slowest {
+			if tr.Root == "serve.job" {
+				jobs = append(jobs, tr)
+			}
+		}
+	}
+	for _, tr := range jobs {
+		var rootID uint64
+		for _, sp := range tr.Spans {
+			if sp.Name == "serve.job" {
+				rootID = sp.Span
+			}
+		}
+		children := map[string]bool{}
+		for _, sp := range tr.Spans {
+			if sp.Parent == rootID {
+				children[sp.Name] = true
+			}
+		}
+		if !children["serve.admit"] || !children["queue.wait"] {
+			t.Errorf("trace %d: root children %v, want serve.admit and queue.wait", tr.Trace, children)
+		}
+	}
+}
+
 func TestTenantLabel(t *testing.T) {
 	cases := map[string]string{
 		"acme":                  "acme",

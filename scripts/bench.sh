@@ -26,11 +26,14 @@
 # trajectory tracks what a client feels, not only what the optimizer
 # costs per op.
 #
-# BENCH_PR sets <n> (default 15); BENCH_OUT overrides the output path.
+# "code_lines" puts the size of the program on the same trajectory: the
+# line count of every non-test .go file outside testdata directories.
+#
+# BENCH_PR sets <n> (default 16); BENCH_OUT overrides the output path.
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCH_PR="${BENCH_PR:-15}"
+BENCH_PR="${BENCH_PR:-16}"
 BENCH_OUT="${BENCH_OUT:-BENCH_${BENCH_PR}.json}"
 raw="$(mktemp /tmp/iddqsyn-bench.XXXXXX)"
 sum="$(mktemp /tmp/iddqsyn-bench-lat.XXXXXX)"
@@ -51,7 +54,9 @@ echo "== iddqload smoke (serve e2e latency percentiles)"
 go run ./cmd/iddqload -inprocess -rate 10 -duration 3s -gens 6 -seed 1 \
     -pr "$BENCH_PR" -out /tmp/iddqsyn-bench-load.json -summary "$sum"
 
-awk -v pr="$BENCH_PR" -v goversion="$(go env GOVERSION)" -v summaryfile="$sum" '
+code_lines="$(find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
+
+awk -v pr="$BENCH_PR" -v goversion="$(go env GOVERSION)" -v summaryfile="$sum" -v codelines="$code_lines" '
 /^Benchmark/ {
     name = $1
     procs = 1
@@ -81,6 +86,7 @@ END {
     printf " \"version\": 1,\n"
     printf " \"pr\": %s,\n", pr
     printf " \"go\": \"%s\",\n", goversion
+    printf " \"code_lines\": %d,\n", codelines
     printf " \"benchmarks\": [\n"
     for (i = 0; i < n; i++) printf "%s%s\n", rows[i], (i < n - 1 ? "," : "")
     printf " ],\n"
